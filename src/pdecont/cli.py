@@ -7,8 +7,6 @@ import argparse
 import os
 import sys
 
-import numpy as np
-
 from . import continuation, demos, fem, io, plot, problem, spcont, switching, \
     timeint
 
@@ -100,22 +98,7 @@ def cmd_tint(args):
     state = io.load_point(args.dir, args.point)
     state.file.dir = args.out or state.file.dir
     if args.variant == "tints":
-        # stiff operator from the u-independent tensor parts at the loaded
-        # point; the load term stays explicit
-        ct0 = state.callbacks.G(state, state.u).normalized(
-            state.mesh.ntri, state.neq)
-        ops0 = fem.assemble_interior(
-            state.mesh, fem.CoeffTensors(ct0.c, ct0.a, ct0.b), state.neq)
-        fill = state.ops.per.fill
-        A = ops0["K"] + ops0["Ma"] + ops0["Kadv"]
-        K = (fill.T @ A @ fill + state.ops.Q).tocsc()
-
-        def forcing(s, u):
-            U = np.concatenate([u, s.u[s.nu:]])
-            ct = s.callbacks.G(s, U).normalized(s.mesh.ntri, s.neq)
-            F = fem.assemble_load(s.mesh, ct.f.T, s.neq)
-            return s.ops.per.fill.T @ F + s.ops.Gb
-        timeint.tints(state, args.dt, args.nt, args.pmod, forcing, K=K)
+        timeint.tints(state, args.dt, args.nt, args.pmod)
     else:
         timeint.tint(state, args.dt, args.nt, args.pmod)
     t, res = state.timeseries[-1]
@@ -140,7 +123,7 @@ def cmd_check(args):
     ok = chk["maxdiff"] <= 1e-5
     print(f"jaccheck {args.demo}: maxdiff={chk['maxdiff']:.3e} "
           f"{'ok' if ok else 'FAIL'}")
-    if state.callbacks.spjac is not None:
+    if state.callbacks.semilinear is not None:
         d = spcont.spjac_check(state)
         sp_ok = d <= 1e-5
         print(f"spjac {args.demo}: maxdiff={d:.3e} "
@@ -233,9 +216,6 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    if getattr(args, "cmd", None) == "plot" and args.what == "branch" \
-            and args.x is None:
-        args.x = None  # resolved below from the first table header
     try:
         if args.func is cmd_plot and args.what == "branch" and args.x is None:
             header, _ = io.read_branch_csv(

@@ -299,7 +299,6 @@ def cont(state, nsteps=None):
         state.u = U_new
         state.tau = tau_new
         state.sol.ineg = ineg_new
-        state.sol.lamd = float(tau_new[-1])
         state.ptype = 0
         state.file.count += 1
         state.total_steps += 1

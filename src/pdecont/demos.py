@@ -1,29 +1,26 @@
 """Example problems, each returning a fully initialized ProblemState.
 
-All nonlinear-interior demos carry both evaluation paths: the tensor
-callbacks (G/Gjac) and the semilinear fast path (sG/sGjac) built from the
-cached operators; both produce the identical discretization, with the
-nonlinearity evaluated at triangle-mean solution values.
+The interior-nonlinear demos (acfold, schnak, bratu, acfront) each declare
+one problem.Semilinear: the diffusion tensor and its parameter factor, the
+advection, and f, fu, fuu on triangle-mean solution values.  The problem
+module derives from it the residual and Jacobian on the cached operators,
+the fold-system second-derivative block, the coefficient tensors of the
+general path and the tints splitting.  nlbc, with its nonlinear boundary
+condition, writes its tensor callbacks by hand.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import problem
 from .fem import BCSpec, CoeffTensors, dirichlet_bc
-from .mesh import Mesh, build_rect_mesh, node_to_triangle
-from .problem import Callbacks, EqnTensors, ProblemState
+from .mesh import build_rect_mesh
+from .problem import Callbacks, ProblemState, Semilinear
 
 
 class DemoError(ValueError):
     pass
-
-
-def _tri_values(state, u):
-    """Triangle-mean values of the reduced nodal field, shape (neq, ntri)."""
-    return (state.ops.Ctri @ u).reshape(state.neq, state.mesh.ntri)
 
 
 def _minmax_out(state, U):
@@ -33,69 +30,37 @@ def _minmax_out(state, U):
     return [float(u[:n].max()), float(u[:n].min())]
 
 
-def _build_state(name, mesh, neq, u0, pars, parnames, callbacks, config,
-                 eqn_c=1.0):
-    state = ProblemState(name=name, mesh=mesh, neq=neq,
-                         u=np.concatenate([u0, np.asarray(pars, dtype=float)]),
-                         parnames=parnames, callbacks=callbacks,
-                         demo_config=dict(config))
-    state.eqn = EqnTensors(c=eqn_c)
-    return state
+def _build_state(name, mesh, neq, u0, pars, parnames, callbacks, config):
+    return ProblemState(name=name, mesh=mesh, neq=neq,
+                        u=np.concatenate([u0, np.asarray(pars, dtype=float)]),
+                        parnames=parnames, callbacks=callbacks,
+                        demo_config=dict(config))
 
 
 # ---------------------------------------------------------------------------
 # cubic-quintic Allen-Cahn:  -c lap(u) - lam*u - u^3 + gam*u^5 = 0, Dirichlet
+# w = (lam, c, gam)
 
 def init_acfold(config=None):
     cfg = {"lx": 1.0, "ly": 0.9, "nx": 60, "ny": 54,
            "lam": 1.0, "c": 0.25, "gam": 1.0}
     cfg.update(config or {})
     mesh = build_rect_mesh(cfg["lx"], cfg["ly"], cfg["nx"], cfg["ny"])
-
-    def nonlin(U, state):
-        lam, c, gam = U[state.nu:state.nu + 3]
-        ut = _tri_values(state, U[:state.nu])[0]
-        f = lam * ut + ut**3 - gam * ut**5
-        fu = lam + 3 * ut**2 - 5 * gam * ut**4
-        return c, f, fu
-
-    def G(state, U):
-        c, f, _ = nonlin(U, state)
-        return CoeffTensors(c=c, f=f)
-
-    def Gjac(state, U):
-        c, _, fu = nonlin(U, state)
-        return CoeffTensors(c=c, fu=fu)
+    sl = Semilinear(
+        f=lambda u, w: w[0] * u + u**3 - w[2] * u**5,
+        fu=lambda u, w: w[0] + 3 * u**2 - 5 * w[2] * u**4,
+        fuu=lambda u, p, w: (6 * u - 20 * w[2] * u**3) * p,
+        d=lambda w: w[1])
 
     def bc(state, U):
         return dirichlet_bc(1, 0.0, stiff=state.controls.stiff_spring)
 
-    def sG(state, U):
-        c, f, _ = nonlin(U, state)
-        u = U[:state.nu]
-        return c * (state.ops.K @ u) + state.ops.Q @ u - state.ops.Gb \
-            - state.ops.Fload @ f
-
-    def sGjac(state, U):
-        c, _, fu = nonlin(U, state)
-        return (c * state.ops.K + state.ops.Q
-                - state.ops.Fload @ sp.diags(fu) @ state.ops.Ctri).tocsc()
-
-    def spjac(state, u, phi, w):
-        gam = w[2]
-        ut = _tri_values(state, u)[0]
-        phit = _tri_values(state, phi)[0]
-        fuu = 6 * ut - 20 * gam * ut**3
-        return (-state.ops.Fload @ sp.diags(fuu * phit)
-                @ state.ops.Ctri).tocsc()
-
-    cb = Callbacks(G=G, Gjac=Gjac, bc=bc, bcjac=bc, sG=sG, sGjac=sGjac,
-                   spjac=spjac, outfu=_minmax_out, outnames=("max", "min"))
+    cb = Callbacks(semilinear=sl, bc=bc, outfu=_minmax_out,
+                   outnames=("max", "min"))
     u0 = np.zeros(mesh.npoints)
     state = _build_state("acfold", mesh, 1, u0,
                          [cfg["lam"], cfg["c"], cfg["gam"]],
                          ("lambda", "c", "gamma"), cb, cfg)
-    state.switches.sfem = 1
     state.usrlam = [3.5, 4.0]
     state.sol.ds = 0.1
     state.controls.dsmax = 0.1
@@ -106,20 +71,40 @@ def init_acfold(config=None):
 # ---------------------------------------------------------------------------
 # Schnakenberg:  d_t U = rho*D lap(U) + N(U) + sigma*(u-1/v)^2*(1,-1),
 # D = diag(1, 60); optional comoving frame s*d_y U and phase condition
+# w = (lam, rho, s, sigma)
 
 KC_SCHNAK = np.sqrt(np.sqrt(2.0) - 1.0)
 
 
-def _schnak_f(ut, vt, lam, sigma):
-    w = ut - 1.0 / vt
-    f = np.stack([-ut + ut**2 * vt + sigma * w**2,
-                  lam - ut**2 * vt - sigma * w**2])
-    fu = np.empty((ut.shape[0], 2, 2))
-    fu[:, 0, 0] = -1 + 2 * ut * vt + 2 * sigma * w
-    fu[:, 0, 1] = ut**2 + 2 * sigma * w / vt**2
-    fu[:, 1, 0] = -2 * ut * vt - 2 * sigma * w
-    fu[:, 1, 1] = -(ut**2 + 2 * sigma * w / vt**2)
-    return f, fu
+def _schnak_f(ut, w):
+    (u, v), lam, sigma = ut, w[0], w[3]
+    z = u - 1.0 / v
+    return np.stack([-u + u**2 * v + sigma * z**2,
+                     lam - u**2 * v - sigma * z**2])
+
+
+def _schnak_fu(ut, w):
+    (u, v), sigma = ut, w[3]
+    z = u - 1.0 / v
+    fu = np.empty((u.shape[0], 2, 2))
+    fu[:, 0, 0] = -1 + 2 * u * v + 2 * sigma * z
+    fu[:, 0, 1] = u**2 + 2 * sigma * z / v**2
+    fu[:, 1, 0] = -2 * u * v - 2 * sigma * z
+    fu[:, 1, 1] = -fu[:, 0, 1]
+    return fu
+
+
+def _schnak_fuu(ut, pt, w):
+    (u, v), (p1, p2), sigma = ut, pt, w[3]
+    z = u - 1.0 / v
+    f1uu = 2 * v + 2 * sigma
+    f1uv = 2 * u + 2 * sigma / v**2
+    f1vv = 2 * sigma * (1.0 / v**4 - 2 * z / v**3)
+    S = np.empty((u.shape[0], 2, 2))
+    S[:, 0, 0] = f1uu * p1 + f1uv * p2
+    S[:, 0, 1] = f1uv * p1 + f1vv * p2
+    S[:, 1] = -S[:, 0]
+    return S
 
 
 def init_schnak(config=None):
@@ -131,56 +116,8 @@ def init_schnak(config=None):
     D = np.zeros((2, 2, 2, 2))
     D[0, 0] = np.eye(2)
     D[1, 1] = 60.0 * np.eye(2)
-
-    def pieces(state, U):
-        lam, rho, s, sigma = U[state.nu:state.nu + 4]
-        ut, vt = _tri_values(state, U[:state.nu])
-        f, fu = _schnak_f(ut, vt, lam, sigma)
-        return lam, rho, s, sigma, f, fu
-
-    def G(state, U):
-        lam, rho, s, sigma, f, _ = pieces(state, U)
-        b = np.zeros((2, 2, 2))
-        b[0, 0] = (0.0, s)
-        b[1, 1] = (0.0, s)
-        return CoeffTensors(c=rho * D, b=b, f=f.T)
-
-    def Gjac(state, U):
-        lam, rho, s, sigma, _, fu = pieces(state, U)
-        b = np.zeros((2, 2, 2))
-        b[0, 0] = (0.0, s)
-        b[1, 1] = (0.0, s)
-        return CoeffTensors(c=rho * D, b=b, fu=fu)
-
-    def sG(state, U):
-        lam, rho, s, sigma, f, _ = pieces(state, U)
-        u = U[:state.nu]
-        return rho * (state.ops.K @ u) - s * (state.ops.Kdy @ u) \
-            - state.ops.Fload @ f.ravel()
-
-    def sGjac(state, U):
-        lam, rho, s, sigma, _, fu = pieces(state, U)
-        from .fem import tri_diag_operator
-        Dmul = tri_diag_operator(fu, 2)
-        return (rho * state.ops.K - s * state.ops.Kdy
-                - state.ops.Fload @ Dmul @ state.ops.Ctri).tocsc()
-
-    def spjac(state, u, phi, w):
-        lam, rho, s, sigma = w[:4]
-        ut, vt = _tri_values(state, u)
-        p1, p2 = _tri_values(state, phi)
-        wv = ut - 1.0 / vt
-        f1uu = 2 * vt + 2 * sigma
-        f1uv = 2 * ut + 2 * sigma / vt**2
-        f1vv = 2 * sigma * (1.0 / vt**4 - 2 * wv / vt**3)
-        S = np.empty((ut.shape[0], 2, 2))
-        S[:, 0, 0] = f1uu * p1 + f1uv * p2
-        S[:, 0, 1] = f1uv * p1 + f1vv * p2
-        S[:, 1, 0] = -S[:, 0, 0]
-        S[:, 1, 1] = -S[:, 0, 1]
-        from .fem import tri_diag_operator
-        return (-state.ops.Fload @ tri_diag_operator(S, 2)
-                @ state.ops.Ctri).tocsc()
+    sl = Semilinear(f=_schnak_f, fu=_schnak_fu, fuu=_schnak_fuu, c=D,
+                    d=lambda w: w[1], b=lambda w: (0.0, w[2]))
 
     def qf(state, U):
         uo = state.uold[:state.nu]
@@ -190,13 +127,11 @@ def init_schnak(config=None):
         uo = state.uold[:state.nu]
         return (state.ops.Kdy @ uo)[None, :]
 
-    cb = Callbacks(G=G, Gjac=Gjac, sG=sG, sGjac=sGjac, spjac=spjac,
-                   qf=qf, qjac=qjac, outfu=_minmax_out,
+    cb = Callbacks(semilinear=sl, qf=qf, qjac=qjac, outfu=_minmax_out,
                    outnames=("max_u", "min_u"))
     state = _build_state("schnak", mesh, 2, np.zeros(2 * mesh.npoints),
                          [cfg["lam"], cfg["rho"], cfg["s"], cfg["sigma"]],
-                         ("lambda", "rho", "s", "sigma"), cb, cfg, eqn_c=D)
-    state.switches.sfem = 1
+                         ("lambda", "rho", "s", "sigma"), cb, cfg)
     state.switches.bcper = int(cfg["bcper"])
     state.sol.ds = -0.05
     state.controls.dsmax = 0.05
@@ -233,50 +168,20 @@ def schnak_travel_setup(state):
 
 
 # ---------------------------------------------------------------------------
-# Bratu:  -c lap(u) + 10(u - lam*exp(u)) = 0, zero-flux
+# Bratu:  -c lap(u) + 10(u - lam*exp(u)) = 0, zero-flux;  w = (lam, c)
 
 def init_bratu(config=None):
     cfg = {"lx": 0.5, "ly": 0.5, "nx": 20, "ny": 20, "lam": 0.0, "c": 0.1}
     cfg.update(config or {})
     mesh = build_rect_mesh(cfg["lx"], cfg["ly"], cfg["nx"], cfg["ny"])
-
-    def nonlin(U, state):
-        lam, c = U[state.nu:state.nu + 2]
-        ut = _tri_values(state, U[:state.nu])[0]
-        f = 10.0 * (lam * np.exp(ut) - ut)
-        fu = 10.0 * (lam * np.exp(ut) - 1.0)
-        return c, f, fu
-
-    def G(state, U):
-        c, f, _ = nonlin(U, state)
-        return CoeffTensors(c=c, f=f)
-
-    def Gjac(state, U):
-        c, _, fu = nonlin(U, state)
-        return CoeffTensors(c=c, fu=fu)
-
-    def sG(state, U):
-        c, f, _ = nonlin(U, state)
-        return c * (state.ops.K @ U[:state.nu]) - state.ops.Fload @ f
-
-    def sGjac(state, U):
-        c, _, fu = nonlin(U, state)
-        return (c * state.ops.K
-                - state.ops.Fload @ sp.diags(fu) @ state.ops.Ctri).tocsc()
-
-    def spjac(state, u, phi, w):
-        lam = w[0]
-        ut = _tri_values(state, u)[0]
-        phit = _tri_values(state, phi)[0]
-        fuu = 10.0 * lam * np.exp(ut)
-        return (-state.ops.Fload @ sp.diags(fuu * phit)
-                @ state.ops.Ctri).tocsc()
-
-    cb = Callbacks(G=G, Gjac=Gjac, sG=sG, sGjac=sGjac, spjac=spjac,
-                   outfu=_minmax_out, outnames=("max", "min"))
+    sl = Semilinear(
+        f=lambda u, w: 10.0 * (w[0] * np.exp(u) - u),
+        fu=lambda u, w: 10.0 * (w[0] * np.exp(u) - 1.0),
+        fuu=lambda u, p, w: 10.0 * w[0] * np.exp(u) * p,
+        d=lambda w: w[1])
+    cb = Callbacks(semilinear=sl, outfu=_minmax_out, outnames=("max", "min"))
     state = _build_state("bratu", mesh, 1, np.zeros(mesh.npoints),
                          [cfg["lam"], cfg["c"]], ("lambda", "c"), cb, cfg)
-    state.switches.sfem = 1
     state.switches.foldcheck = 1
     state.sol.ds = 0.05
     state.controls.dsmax = 0.05
@@ -342,6 +247,7 @@ def init_nlbc(config=None):
 # ---------------------------------------------------------------------------
 # Bistable front:  -lap(u) - lam*u*(1-u)*(mu+u) - s*dx(u) = 0, zero-flux;
 # freezing stage adds the phase condition <dx u_old, u_old - u> = 0
+# w = (lam, mu, s)
 
 def init_acfront(config=None):
     cfg = {"lx": 25.0, "ly": 0.25, "nx": 250, "ny": 1,
@@ -349,43 +255,11 @@ def init_acfront(config=None):
     cfg.update(config or {})
     mesh = build_rect_mesh(cfg["lx"], cfg["ly"], cfg["nx"], cfg["ny"])
 
-    def nonlin(U, state):
-        lam, mu, s = U[state.nu:state.nu + 3]
-        ut = _tri_values(state, U[:state.nu])[0]
-        f = lam * (mu * ut + (1 - mu) * ut**2 - ut**3)
-        fu = lam * (mu + 2 * (1 - mu) * ut - 3 * ut**2)
-        return s, f, fu
-
-    def G(state, U):
-        s, f, _ = nonlin(U, state)
-        b = np.zeros((1, 1, 2))
-        b[0, 0] = (s, 0.0)
-        return CoeffTensors(c=1.0, b=b, f=f)
-
-    def Gjac(state, U):
-        s, _, fu = nonlin(U, state)
-        b = np.zeros((1, 1, 2))
-        b[0, 0] = (s, 0.0)
-        return CoeffTensors(c=1.0, b=b, fu=fu)
-
-    def sG(state, U):
-        s, f, _ = nonlin(U, state)
-        u = U[:state.nu]
-        return state.ops.K @ u - s * (state.ops.Kdx @ u) \
-            - state.ops.Fload @ f
-
-    def sGjac(state, U):
-        s, _, fu = nonlin(U, state)
-        return (state.ops.K - s * state.ops.Kdx
-                - state.ops.Fload @ sp.diags(fu) @ state.ops.Ctri).tocsc()
-
-    def spjac(state, u, phi, w):
-        lam, mu = w[0], w[1]
-        ut = _tri_values(state, u)[0]
-        phit = _tri_values(state, phi)[0]
-        fuu = lam * (2 * (1 - mu) - 6 * ut)
-        return (-state.ops.Fload @ sp.diags(fuu * phit)
-                @ state.ops.Ctri).tocsc()
+    sl = Semilinear(
+        f=lambda u, w: w[0] * (w[1] * u + (1 - w[1]) * u**2 - u**3),
+        fu=lambda u, w: w[0] * (w[1] + 2 * (1 - w[1]) * u - 3 * u**2),
+        fuu=lambda u, p, w: w[0] * (2 * (1 - w[1]) - 6 * u) * p,
+        b=lambda w: (w[2], 0.0))
 
     def qf(state, U):
         uo = state.uold[:state.nu]
@@ -396,8 +270,7 @@ def init_acfront(config=None):
         uo = state.uold[:state.nu]
         return (-(state.ops.Kdx @ uo))[None, :]
 
-    cb = Callbacks(G=G, Gjac=Gjac, sG=sG, sGjac=sGjac, spjac=spjac,
-                   qf=qf, qjac=qjac, outfu=_minmax_out,
+    cb = Callbacks(semilinear=sl, qf=qf, qjac=qjac, outfu=_minmax_out,
                    outnames=("max", "min"))
     mu = cfg["mu"]
     lam = cfg["lam"]
@@ -406,7 +279,6 @@ def init_acfront(config=None):
     u0 = -mu + (1.0 + mu) * v0
     state = _build_state("acfront", mesh, 1, u0,
                          [lam, mu, cfg["s"]], ("lambda", "mu", "s"), cb, cfg)
-    state.switches.sfem = 1
     state.sol.ds = -0.02
     state.controls.dsmax = 0.02
     problem.setfemops(state)

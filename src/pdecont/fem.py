@@ -18,7 +18,7 @@ from typing import Callable
 import numpy as np
 import scipy.sparse as sp
 
-from .mesh import Mesh, node_to_triangle
+from .mesh import Mesh
 
 
 class AssemblyError(ValueError):
@@ -285,15 +285,10 @@ def jaccheck(state, u=None) -> dict:
 
     U = np.array(state.u if u is None else u, dtype=float)
     nu = state.nu
-    delta = state.controls.del_
     Ja = _problem.jacobian_active(state, U)[:, :nu].tocsc()
-    r0 = _problem.residual(state, U)
-    cols = []
-    for j in range(nu):
-        Up = U.copy()
-        Up[j] += delta
-        cols.append((_problem.residual(state, Up) - r0) / delta)
-    Jn = sp.csc_matrix(np.column_stack(cols))
+    Jn = sp.csc_matrix(_problem.fd_columns(
+        lambda V: _problem.residual(state, V), U, range(nu),
+        state.controls.del_))
     maxdiff = abs(Ja - Jn).max() if nu else 0.0
     return {"analytic": Ja, "numeric": Jn, "maxdiff": float(maxdiff)}
 

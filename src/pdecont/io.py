@@ -51,7 +51,6 @@ def save_point(state, name):
                     "old_primary": int(state.spdata.get("old_primary", 1))}
                    if state.spdata else None),
         "spcont": int(state.switches.spcont),
-        "sfem": int(state.switches.sfem),
         "counters": {"count": state.file.count, "bcount": state.file.bcount,
                      "fcount": state.file.fcount},
         "parnames": list(state.parnames),
@@ -95,7 +94,6 @@ def load_point(directory, name):
         state.switches.bcper = int(doc["bcper"])
         problem.setfemops(state)
 
-    state.switches.sfem = int(doc["sfem"])
     state.switches.spcont = int(doc["spcont"])
     state.mode = doc["mode"]
     state.spdata = doc["spdata"]

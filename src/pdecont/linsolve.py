@@ -43,19 +43,17 @@ class FactorCache:
             self._store.pop(key, None)
 
 
-_default_cache = FactorCache()
-
-
 def lss(A: sp.spmatrix, rhs: np.ndarray, cache: FactorCache | None = None,
         key=None) -> np.ndarray:
     """Solve A x = rhs by sparse LU with partial pivoting.
 
-    Pass a cache and key to reuse the factorization when A is unchanged.
+    Pass a cache and key to reuse the factorization when A is unchanged;
+    without a cache the factorization is not kept.
     """
     rhs = np.asarray(rhs, dtype=float)
     if A.shape[0] != A.shape[1] or A.shape[0] != rhs.shape[0]:
         raise ValueError(f"shape mismatch: A {A.shape}, rhs {rhs.shape}")
-    lu = (cache or _default_cache).factorize(A, key=key)
+    lu = (cache or FactorCache()).factorize(A, key=key)
     x = lu.solve(rhs)
     if not np.all(np.isfinite(x)):
         raise SingularMatrixError("linear solve produced non-finite values")

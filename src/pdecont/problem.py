@@ -1,6 +1,12 @@
 """Problem definition: unknown vector U=(u,w), operator cache, residual and
 Jacobian dispatch, parameter activation and the weighted arclength product.
 
+A problem either declares its interior operator once as a Semilinear, from
+which this module derives the residual and Jacobian on the cached operators,
+the fold-system second-derivative block, the coefficient tensors and the
+tints splitting; or it writes the tensor callbacks G/Gjac itself, which the
+general assembly path evaluates.
+
 The unknown vector stores the nodal PDE values (length nu, reduced when a
 periodization is active) followed by all auxiliary variables.  The active
 auxiliary variables are selected by the 1-based index list ilam; ilam[0] is
@@ -28,7 +34,7 @@ class ProblemError(ValueError):
 # ---------------------------------------------------------------------------
 # controls / switches
 
-@dataclass
+@dataclass(slots=True)
 class Controls:
     tol: float = 1e-10
     imax: int = 10
@@ -51,15 +57,14 @@ class Controls:
     stiff_spring: float = 1e3
 
 
-@dataclass
+@dataclass(slots=True)
 class Switches:
     bifcheck: int = 1
     foldcheck: int = 0
     spcalc: int = 1
     jac: int = 1          # 1 analytic, 0 numeric
     qjac: int = 1
-    spjac: int = 1
-    sfem: int = 0         # 0 full path, 1 semilinear fast path
+    spjac: int = 1        # 1 derived second-derivative block, 0 numeric
     para: int = 1         # 0 natural, 1 automatic, 2 arclength
     bifloc: int = 2       # 0 tangent, 1 secant, 2 quadratic predictor
     bcper: int = 0
@@ -75,7 +80,6 @@ class SolInfo:
     ineg: int = -1
     muv: Optional[np.ndarray] = None
     iter: int = 0
-    lamd: float = 0.0
     meth: str = "arc"
     restart: bool = False
 
@@ -89,25 +93,54 @@ class FileInfo:
 
 
 @dataclass
+class Semilinear:
+    """The semilinear operator  d(w) (-div(c grad u)) - b(w).grad u - f(u, w).
+
+    c is a constant diffusion tensor (scalar, or (N, N, 2, 2) for N
+    components), assembled once into ops.K and scaled by d(w); the advection
+    b(w) = (bx, by) acts on every component through ops.Kdx / ops.Kdy.  f, fu
+    and the directional second derivative fuu(ut, phit, w) = d_u(fu phi) are
+    pointwise on the triangle means ut = Ctri u, which have shape (nt,) for
+    scalar problems and (N, nt) for systems; f returns the shape of ut, fu
+    and fuu return (nt,) or (nt, N, N).  w is the auxiliary vector.  The
+    boundary operator ops.Q, Gb must not depend on u or w.
+    """
+    f: Callable
+    fu: Callable
+    fuu: Callable
+    c: object = 1.0
+    d: Optional[Callable] = None      # None: d = 1
+    b: Optional[Callable] = None      # None: no advection
+
+    def scale(self, w) -> float:
+        return 1.0 if self.d is None else self.d(w)
+
+    def advection(self, w) -> tuple:
+        return (0.0, 0.0) if self.b is None else tuple(self.b(w))
+
+
+@dataclass
 class Callbacks:
     G: Optional[Callable] = None          # (state, U) -> CoeffTensors
     Gjac: Optional[Callable] = None       # (state, U) -> CoeffTensors for Gu
     bc: Optional[Callable] = None         # (state, U) -> BCSpec
     bcjac: Optional[Callable] = None
-    sG: Optional[Callable] = None         # (state, U) -> residual vector (nu)
-    sGjac: Optional[Callable] = None      # (state, U) -> sparse nu x nu
+    semilinear: Optional[Semilinear] = None   # derives G, Gjac when unset
     qf: Optional[Callable] = None         # (state, U) -> (nq,)
     qjac: Optional[Callable] = None       # (state, U) -> (nq, nu)
-    spjac: Optional[Callable] = None      # (state, u, phi, pars) -> sparse nu x nu
     outfu: Optional[Callable] = None      # (state, U) -> list of user columns
     outnames: Sequence[str] = ()
+
+    def __post_init__(self):
+        if self.semilinear is not None:
+            self.G = self.G or semilinear_G
+            self.Gjac = self.Gjac or semilinear_Gjac
 
 
 @dataclass
 class OperatorCache:
     M: Optional[sp.csc_matrix] = None         # consistent mass (reduced space)
-    K: Optional[sp.csc_matrix] = None         # stiffness from eqn tensors
-    Kadv: Optional[sp.csc_matrix] = None
+    K: Optional[sp.csc_matrix] = None         # stiffness of semilinear c (or 1)
     Kdx: Optional[sp.csc_matrix] = None       # int (dx phi_j) phi_i, reduced
     Kdy: Optional[sp.csc_matrix] = None
     Q: Optional[sp.csc_matrix] = None         # boundary matrix snapshot
@@ -118,14 +151,6 @@ class OperatorCache:
     Ctri: Optional[sp.csc_matrix] = None      # C * fill (reduced nodal -> tri)
     per: Optional[Periodization] = None
     cache: linsolve.FactorCache = field(default_factory=linsolve.FactorCache)
-
-
-@dataclass
-class EqnTensors:
-    """u-independent tensors for the semilinear operator setup."""
-    c: object = 0.0
-    a: object = 0.0
-    b: object = 0.0
 
 
 @dataclass
@@ -140,7 +165,6 @@ class ProblemState:
     switches: Switches = field(default_factory=Switches)
     sol: SolInfo = field(default_factory=SolInfo)
     file: FileInfo = field(default_factory=FileInfo)
-    eqn: EqnTensors = field(default_factory=EqnTensors)
     ops: OperatorCache = field(default_factory=OperatorCache)
     ilam: list = field(default_factory=lambda: [1])
     nq: int = 0
@@ -204,10 +228,10 @@ def setfemops(state: ProblemState):
     M = fem.assemble_mass(mesh, neq)
     state.ops.M = (fill.T @ M @ fill).tocsc()
 
-    ct = fem.CoeffTensors(c=state.eqn.c, a=0.0, b=state.eqn.b, f=0.0)
-    ops = fem.assemble_interior(mesh, ct, neq)
-    state.ops.K = (fill.T @ ops["K"] @ fill).tocsc()
-    state.ops.Kadv = (fill.T @ ops["Kadv"] @ fill).tocsc()
+    sl = state.callbacks.semilinear
+    ct = fem.CoeffTensors(c=1.0 if sl is None else sl.c)
+    K = fem.assemble_interior(mesh, ct, neq)["K"]
+    state.ops.K = (fill.T @ K @ fill).tocsc()
 
     for attr, bvec in (("Kdx", (1.0, 0.0)), ("Kdy", (0.0, 1.0))):
         b = np.zeros((neq, neq, 2))
@@ -243,12 +267,15 @@ def pde_residual(state: ProblemState, U: np.ndarray) -> np.ndarray:
     if state.mode == "spcont":
         from . import spcont as _spcont
         return _spcont.extended_pde_residual(state, U)
-    if state.switches.sfem == 1:
-        return np.asarray(state.callbacks.sG(state, U))
-    return _full_residual(state, U)
+    if state.callbacks.semilinear is not None:
+        return _semilinear_residual(state, U)
+    return tensor_residual(state, U)
 
 
-def _full_residual(state: ProblemState, U: np.ndarray) -> np.ndarray:
+def tensor_residual(state: ProblemState, U: np.ndarray) -> np.ndarray:
+    """G(u,w) assembled from the coefficient tensors of callbacks.G and the
+    boundary provider: the general path, and the reference for the
+    semilinear one."""
     mesh, neq = state.mesh, state.neq
     per = state.ops.per
     u = U[:state.nu]
@@ -272,12 +299,13 @@ def pde_jacobian_u(state: ProblemState, U: np.ndarray) -> sp.csc_matrix:
         return _spcont.extended_pde_jacobian_u(state, U)
     if state.switches.jac == 0:
         return _fd_jacobian_u(state, U)
-    if state.switches.sfem == 1:
-        return state.callbacks.sGjac(state, U).tocsc()
-    return _full_jacobian_u(state, U)
+    if state.callbacks.semilinear is not None:
+        return _semilinear_jacobian_u(state, U)
+    return tensor_jacobian_u(state, U)
 
 
-def _full_jacobian_u(state: ProblemState, U: np.ndarray) -> sp.csc_matrix:
+def tensor_jacobian_u(state: ProblemState, U: np.ndarray) -> sp.csc_matrix:
+    """d(tensor_residual)/du from the tensors of callbacks.Gjac."""
     mesh, neq = state.mesh, state.neq
     per = state.ops.per
     ct = state.callbacks.Gjac(state, U).normalized(mesh.ntri, neq)
@@ -295,15 +323,23 @@ def _full_jacobian_u(state: ProblemState, U: np.ndarray) -> sp.csc_matrix:
     return (per.fill.T @ J @ per.fill).tocsc()
 
 
+def fd_columns(fun: Callable, x: np.ndarray, indices, delta: float,
+               f0: np.ndarray | None = None) -> np.ndarray:
+    """Forward differences (fun(x + delta e_j) - f0) / delta for j in
+    indices, one column each; f0 defaults to fun(x)."""
+    x = np.asarray(x, dtype=float)
+    f0 = fun(x) if f0 is None else f0
+    cols = np.empty((len(f0), len(indices)))
+    for k, j in enumerate(indices):
+        xp = x.copy()
+        xp[j] += delta
+        cols[:, k] = (fun(xp) - f0) / delta
+    return cols
+
+
 def _fd_jacobian_u(state: ProblemState, U: np.ndarray) -> sp.csc_matrix:
-    delta = state.controls.del_
-    r0 = pde_residual(state, U)
-    cols = []
-    for j in range(state.nu):
-        Up = np.array(U, dtype=float)
-        Up[j] += delta
-        cols.append((pde_residual(state, Up) - r0) / delta)
-    return sp.csc_matrix(np.column_stack(cols))
+    return sp.csc_matrix(fd_columns(lambda V: pde_residual(state, V), U,
+                                    range(state.nu), state.controls.del_))
 
 
 def aux_residual(state: ProblemState, U: np.ndarray) -> np.ndarray:
@@ -333,14 +369,8 @@ def aux_jacobian_u(state: ProblemState, U: np.ndarray) -> sp.csc_matrix:
     if state.switches.qjac == 1 and state.callbacks.qjac is not None:
         qj = state.callbacks.qjac(state, U)
         return sp.csc_matrix(np.atleast_2d(np.asarray(qj, dtype=float)))
-    delta = state.controls.del_
-    q0 = aux_residual(state, U)
-    cols = []
-    for j in range(state.nu):
-        Up = np.array(U, dtype=float)
-        Up[j] += delta
-        cols.append((aux_residual(state, Up) - q0) / delta)
-    return sp.csc_matrix(np.column_stack(cols))
+    return sp.csc_matrix(fd_columns(lambda V: aux_residual(state, V), U,
+                                    range(state.nu), state.controls.del_))
 
 
 def jacobian_active(state: ProblemState, U: np.ndarray | None = None) -> sp.csc_matrix:
@@ -353,17 +383,96 @@ def jacobian_active(state: ProblemState, U: np.ndarray | None = None) -> sp.csc_
     Gu = pde_jacobian_u(state, U)
     Qu = aux_jacobian_u(state, U)
     Ju = sp.vstack([Gu, Qu], format="csc")
+    W = fd_columns(lambda V: residual(state, V), U, active_slots(state),
+                   state.controls.del_)
+    return sp.hstack([Ju, sp.csc_matrix(W)], format="csc")
 
-    delta = state.controls.del_
-    r0 = residual(state, U)
-    wcols = []
-    for idx in state.ilam[1:] + state.ilam[:1]:     # wtilde first, alpha last
-        Up = np.array(U, dtype=float)
-        Up[state.nu + idx - 1] += delta
-        wcols.append((residual(state, Up) - r0) / delta)
-    W = sp.csc_matrix(np.column_stack(wcols)) if wcols else \
-        sp.csc_matrix((state.nu + state.nq, 0))
-    return sp.hstack([Ju, W], format="csc")
+
+# ---------------------------------------------------------------------------
+# the semilinear operator: residual, Jacobian, second-derivative block,
+# coefficient tensors and time-stepping splitting, all from callbacks.semilinear
+
+def _tri_values(state: ProblemState, v: np.ndarray) -> np.ndarray:
+    """Triangle means of a reduced nodal field: (nt,) for scalar problems,
+    (neq, nt) for systems."""
+    vt = (state.ops.Ctri @ v).reshape(state.neq, state.mesh.ntri)
+    return vt[0] if state.neq == 1 else vt
+
+
+def _tri_diag(state: ProblemState, fu) -> sp.csc_matrix:
+    """Per-triangle multipliers, (nt,) or (nt, N, N), as a sparse map on
+    component-blocked triangle values."""
+    neq = state.neq
+    return fem.tri_diag_operator(np.reshape(fu, (-1, neq, neq)), neq)
+
+
+def _linear_terms(state: ProblemState, w: np.ndarray) -> list:
+    """(coefficient, matrix) pairs of d K - bx Kdx - by Kdy; an advection
+    term with a zero coefficient is left out."""
+    sl, ops = state.callbacks.semilinear, state.ops
+    adv = zip(sl.advection(w), (ops.Kdx, ops.Kdy))
+    return [(sl.scale(w), ops.K)] + [(-coef, A) for coef, A in adv if coef]
+
+
+def _semilinear_residual(state: ProblemState, U: np.ndarray) -> np.ndarray:
+    u, w = U[:state.nu], U[state.nu:]
+    f = state.callbacks.semilinear.f(_tri_values(state, u), w)
+    r = sum(coef * (A @ u) for coef, A in _linear_terms(state, w))
+    return r + state.ops.Q @ u - state.ops.Gb - state.ops.Fload @ np.ravel(f)
+
+
+def implicit_operator(state: ProblemState, w: np.ndarray) -> sp.csc_matrix:
+    """d K - bx Kdx - by Kdy + Q, the linear part of the semilinear residual,
+    at the auxiliary vector w."""
+    L = sum(coef * A for coef, A in _linear_terms(state, w))
+    return (L + state.ops.Q).tocsc()
+
+
+def _semilinear_jacobian_u(state: ProblemState, U: np.ndarray) -> sp.csc_matrix:
+    u, w = U[:state.nu], U[state.nu:]
+    fu = state.callbacks.semilinear.fu(_tri_values(state, u), w)
+    return (implicit_operator(state, w)
+            - state.ops.Fload @ _tri_diag(state, fu) @ state.ops.Ctri).tocsc()
+
+
+def semilinear_second_block(state: ProblemState, u: np.ndarray,
+                            phi: np.ndarray, w: np.ndarray) -> sp.csc_matrix:
+    """d_u((d_u G) phi), the lower-left block of the fold / branch-point
+    system, from the directional second derivative fuu."""
+    S = state.callbacks.semilinear.fuu(_tri_values(state, u),
+                                       _tri_values(state, phi), w)
+    return (-state.ops.Fload @ _tri_diag(state, S) @ state.ops.Ctri).tocsc()
+
+
+def _semilinear_tensors(state: ProblemState, U: np.ndarray, jac: bool):
+    sl, neq = state.callbacks.semilinear, state.neq
+    w = U[state.nu:]
+    ut = _tri_values(state, U[:state.nu])
+    c = sl.scale(w) * np.asarray(sl.c, dtype=float)
+    b = np.zeros((neq, neq, 2))
+    b[np.arange(neq), np.arange(neq)] = sl.advection(w)
+    if jac:
+        return fem.CoeffTensors(c=c, b=b, fu=sl.fu(ut, w))
+    return fem.CoeffTensors(c=c, b=b, f=np.reshape(sl.f(ut, w), (neq, -1)).T)
+
+
+def semilinear_G(state: ProblemState, U: np.ndarray) -> fem.CoeffTensors:
+    """Coefficient tensors of the semilinear residual (callbacks.G)."""
+    return _semilinear_tensors(state, U, jac=False)
+
+
+def semilinear_Gjac(state: ProblemState, U: np.ndarray) -> fem.CoeffTensors:
+    """Coefficient tensors of the semilinear Jacobian (callbacks.Gjac)."""
+    return _semilinear_tensors(state, U, jac=True)
+
+
+def semilinear_splitting(state: ProblemState):
+    """(K, forcing) for tints: the implicit operator at the state's
+    parameters, and the explicit load forcing(state, u) = Fload f + Gb."""
+    def forcing(s, u):
+        f = s.callbacks.semilinear.f(_tri_values(s, u), s.pars())
+        return s.ops.Fload @ np.ravel(f) + s.ops.Gb
+    return implicit_operator(state, state.pars()), forcing
 
 
 # ---------------------------------------------------------------------------

@@ -65,8 +65,8 @@ def extended_pde_jacobian_u(state, U):
     Ub = np.concatenate([u, w])
     with base_view(state):
         Gu = problem.pde_jacobian_u(state, Ub)
-    if state.switches.spjac and state.callbacks.spjac is not None:
-        S = state.callbacks.spjac(state, u, phi, w).tocsc()
+    if state.switches.spjac and state.callbacks.semilinear is not None:
+        S = problem.semilinear_second_block(state, u, phi, w)
     else:
         S = _fd_second_block(state, U, Gu)
     return sp.bmat([[Gu, None], [S, Gu]], format="csc")
@@ -75,17 +75,13 @@ def extended_pde_jacobian_u(state, U):
 def _fd_second_block(state, U, Gu):
     """Forward differences of the Jacobian-vector product d_u G * phi."""
     u, phi, w = split(state, U)
-    nb = len(u)
-    delta = state.controls.del_
-    base = Gu @ phi
-    cols = np.empty((nb, nb))
-    for j in range(nb):
-        up = np.array(u)
-        up[j] += delta
+
+    def jvp(Ub):
         with base_view(state):
-            Gup = problem.pde_jacobian_u(state, np.concatenate([up, w]))
-        cols[:, j] = (Gup @ phi - base) / delta
-    return sp.csc_matrix(cols)
+            return problem.pde_jacobian_u(state, Ub) @ phi
+    return sp.csc_matrix(problem.fd_columns(
+        jvp, np.concatenate([u, w]), range(len(u)), state.controls.del_,
+        f0=Gu @ phi))
 
 
 def extended_aux_jacobian_u(state, U):
@@ -182,10 +178,12 @@ def spcontexit(state, primary_param_index=None):
 # verification helper
 
 def spjac_check(state, u=None, phi=None):
-    """Max-entry difference between the analytic d_u(d_u G phi) provider and
-    forward differences, on a normal-mode state."""
-    if state.callbacks.spjac is None:
-        raise SpcontError("no analytic second-derivative provider set")
+    """Max-entry difference between the second-derivative block derived from
+    the semilinear declaration and forward differences of d_u G phi, on a
+    normal-mode state."""
+    if state.callbacks.semilinear is None:
+        raise SpcontError("no semilinear declaration to derive the "
+                          "second-derivative block from")
     nb = state.nu
     U = np.array(state.u, dtype=float)
     if u is not None:
@@ -193,15 +191,8 @@ def spjac_check(state, u=None, phi=None):
     if phi is None:
         x = state.ops.M @ np.ones(nb)
         phi = x / np.sqrt(abs(x @ (state.ops.M @ x)))
-    w = U[nb:]
-    S = state.callbacks.spjac(state, U[:nb], phi, w).toarray()
-
-    delta = state.controls.del_
+    S = problem.semilinear_second_block(state, U[:nb], phi, U[nb:]).toarray()
     Gu = problem.pde_jacobian_u(state, U)
-    base = Gu @ phi
-    Sn = np.empty_like(S)
-    for j in range(nb):
-        Up = U.copy()
-        Up[j] += delta
-        Sn[:, j] = (problem.pde_jacobian_u(state, Up) @ phi - base) / delta
+    Sn = problem.fd_columns(lambda V: problem.pde_jacobian_u(state, V) @ phi,
+                            U, range(nb), state.controls.del_, f0=Gu @ phi)
     return float(np.max(np.abs(S - Sn)))

@@ -2,8 +2,9 @@
 
 tint reassembles all operators at every step (general path); tints keeps
 the stiff operator fixed and LU-factorizes Lambda = M + dt*K once, so each
-step is a pair of sparse triangular solves.  Neither variant has error or
-stepsize control.
+step is a pair of sparse triangular solves.  The tints splitting comes from
+the problem's semilinear declaration unless the caller passes one.  Neither
+variant has error or stepsize control.
 """
 
 from __future__ import annotations
@@ -56,20 +57,30 @@ def tint(state, dt, nt, pmod=10):
     return state
 
 
-def tints(state, dt, nt, pmod, forcing, K=None, diagnostics=True):
+def tints(state, dt, nt, pmod, forcing=None, K=None, diagnostics=True):
     """Semilinear fast path: Lambda = M + dt*K factorized once, then
-    u^{n+1} = Lambda^{-1} (M u^n + dt*f_n) with f_n = forcing(state, u^n),
-    the assembled explicit forcing vector (load + boundary source).
+    u^{n+1} = Lambda^{-1} (M u^n + dt*f_n) with f_n = forcing(state, u^n).
 
-    K defaults to the cached stiff operator including advection and boundary
-    terms; pass an override matrix to keep parameter factors explicit in the
-    forcing.  The factorization is cached per (dt, K) in the state's cache.
+    By default the splitting is derived from callbacks.semilinear at the
+    state's parameters: K = d K - bx Kdx - by Kdy + Q implicit and the load
+    Fload f + Gb explicit (problem.semilinear_splitting).  A problem without
+    that declaration must pass both forcing and K; its boundary operator may
+    depend on u, so no cached matrix is taken for it.  A caller-passed K is
+    factorized once per (dt, K) in the state's cache.
     """
-    M = state.ops.M
-    if K is None:
-        K = state.ops.K + state.ops.Kadv + state.ops.Q
-    Lam = (M + dt * K).tocsc()
     key = ("tints", float(dt), id(K))
+    if forcing is None or K is None:
+        if state.callbacks.semilinear is None:
+            raise TimeintError(f"{state.name} declares no semilinear "
+                               "operator; tints needs forcing and K")
+        K0, forcing0 = problem.semilinear_splitting(state)
+        forcing = forcing or forcing0
+        if K is None:
+            # a derived K is new on every call, so its id could later name
+            # another matrix: only a caller-passed K is kept in the cache
+            K, key = K0, None
+    M = state.ops.M
+    Lam = (M + dt * K).tocsc()
     try:
         lu = state.ops.cache.factorize(Lam, key=key)
     except linsolve.SingularMatrixError as exc:

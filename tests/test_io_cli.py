@@ -42,6 +42,25 @@ def test_saved_file_is_self_describing(run_dir):
     assert len(doc["u"]) == len(st.u)
 
 
+def test_point_file_has_no_removed_switch(run_dir):
+    d, st = run_dir
+    doc = json.load(open(os.path.join(d, f"pt{st.file.count}.json")))
+    assert "sfem" not in doc
+
+
+def test_load_point_reads_file_with_removed_switch(run_dir, tmp_path):
+    # files written before the path switch was removed carry "sfem"
+    d, st = run_dir
+    doc = json.load(open(os.path.join(d, f"pt{st.file.count}.json")))
+    doc["sfem"] = 1
+    old = tmp_path / "old"
+    old.mkdir()
+    (old / "pt0.json").write_text(json.dumps(doc))
+    st2 = io.load_point(str(old), "pt0")
+    assert np.array_equal(st2.u, st.u)
+    assert np.array_equal(problem.residual(st2), problem.residual(st))
+
+
 def test_no_temp_files_left(run_dir):
     d, _ = run_dir
     assert not [f for f in os.listdir(d) if f.endswith(".tmp")]
@@ -122,3 +141,15 @@ def test_cli_tint_runs(tmp_path):
     assert cli.main(["run", "schnak", "--steps", "2", "--out", out]) == 0
     assert cli.main(["tint", out, "pt1", "--dt", "0.05", "--nt", "5"]) == 0
     assert cli.main(["tints", out, "pt1", "--dt", "0.05", "--nt", "5"]) == 0
+
+
+def test_cli_tints_needs_semilinear_declaration(tmp_path, capsys):
+    # nlbc has a u-dependent boundary operator and declares no semilinear
+    # operator, so there is no splitting to derive
+    st = demos.make("nlbc", {"nx": 8, "ny": 8})
+    st.file.dir = str(tmp_path)
+    io.save_point(st, "pt0")
+    rc = cli.main(["tints", str(tmp_path), "pt0", "--dt", "0.05",
+                   "--nt", "2"])
+    assert rc == 1
+    assert "semilinear" in capsys.readouterr().err

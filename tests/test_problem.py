@@ -27,20 +27,29 @@ def test_residual_length_check(acfold):
         problem.residual(acfold, np.zeros(3))
 
 
-def test_assembled_and_tensor_paths_agree(acfold):
-    # the hand-assembled residual/Jacobian and the coefficient-tensor path
-    # must agree to roundoff, not just to discretization accuracy
-    U = _perturbed(acfold, 0)
-    sfem = acfold.switches.sfem
-    try:
-        acfold.switches.sfem = 1
-        r1 = problem.pde_residual(acfold, U)
-        J1 = problem.pde_jacobian_u(acfold, U)
-        acfold.switches.sfem = 0
-        r2 = problem.pde_residual(acfold, U)
-        J2 = problem.pde_jacobian_u(acfold, U)
-    finally:
-        acfold.switches.sfem = sfem
+# config and nonzero advection / coupling parameters per semilinear demo
+PATH_CASES = {
+    "acfold": ({"nx": 14, "ny": 12}, {}),
+    "schnak": ({}, {"s": 0.3, "sigma": 0.2}),
+    "bratu": ({}, {"lambda": 0.2}),
+    "acfront": ({}, {"s": 0.4, "mu": 0.7}),
+}
+
+
+@pytest.mark.parametrize("name", list(PATH_CASES))
+def test_assembled_and_tensor_paths_agree(name):
+    # the residual/Jacobian on the cached operators and the coefficient-
+    # tensor path, both derived from the one semilinear declaration, must
+    # agree to roundoff, not just to discretization accuracy
+    cfg, pars = PATH_CASES[name]
+    state = demos.make(name, cfg)
+    for key, val in pars.items():
+        state.setaux(key, val)
+    U = _perturbed(state, 0)
+    r1 = problem.pde_residual(state, U)
+    J1 = problem.pde_jacobian_u(state, U)
+    r2 = problem.tensor_residual(state, U)
+    J2 = problem.tensor_jacobian_u(state, U)
     scale = max(1.0, np.abs(r1).max())
     assert np.abs(r1 - r2).max() <= 1e-10 * scale
     assert abs(J1 - J2).max() <= 1e-10 * max(1.0, abs(J1).max())
@@ -99,6 +108,14 @@ def test_jacobian_active_shape_and_param_column(acfold):
     Up[acfold.nu + acfold.ilam[0] - 1] += delta
     fd = (problem.residual(acfold, Up) - problem.residual(acfold)) / delta
     assert np.allclose(J.toarray()[:, -1], fd, atol=1e-12)
+
+
+def test_switches_and_controls_reject_unknown_names(acfold):
+    # a removed or misspelt setting must fail loudly, not be ignored
+    with pytest.raises(AttributeError):
+        acfold.switches.sfem = 0
+    with pytest.raises(AttributeError):
+        acfold.controls.dsmaxx = 0.5
 
 
 def test_getaux_setaux_and_primary(acfold):

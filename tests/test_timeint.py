@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 
@@ -52,6 +54,27 @@ def test_tints_factorizes_once():
           K=(st.ops.K + st.ops.Q).tocsc())
     after = st.ops.cache.factor_count
     assert after == before + 1
+
+
+def test_tints_default_splitting_reproduces_tint():
+    # the splitting derived from the semilinear declaration (diffusion and
+    # boundary springs implicit, load explicit) is the one tint uses
+    st1 = demos.make("acfold", {"nx": 30, "ny": 27})
+    rng = np.random.default_rng(42)
+    st1.u[:st1.nu] += 0.01 * rng.standard_normal(st1.nu)
+    st2 = copy.deepcopy(st1)
+    tint(st1, 0.01, 100, pmod=50)
+    tints(st2, 0.01, 100, 50)
+    u1, u2 = st1.u[:st1.nu], st2.u[:st2.nu]
+    assert np.abs(u1 - u2).max() / max(1.0, np.abs(u1).max()) <= 1e-8
+
+
+def test_tints_without_semilinear_declaration_raises():
+    # nlbc's boundary operator depends on u: a splitting frozen at the
+    # cached operators would integrate a different equation
+    st = demos.make("nlbc", {"nx": 8, "ny": 8})
+    with pytest.raises(TimeintError):
+        tints(st, 0.05, 2, 1)
 
 
 def test_timeseries_recording_cadence():
