@@ -1,14 +1,21 @@
 """Predictor-corrector continuation with stepsize control, automatic
 parametrization switching, detection and bisection localization of
 bifurcation and fold points, and user-target parameter output.
+
+Both correctors are one Newton loop on the bordered system (G, q,
+<border, y - y_base> - ds) = 0: border e_alpha and ds = 0 (natural), or
+w*tau (arclength); the tangent solves it with right-hand side (0, 1).
 """
 
 from __future__ import annotations
 
+import copy
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import io as _io
 from . import linsolve, problem
 from .linsolve import SingularMatrixError
 
@@ -33,49 +40,28 @@ class BranchRecord:
 # correctors
 
 def nloop(state, U):
-    """Newton at fixed primary parameter: square system in (u, wtilde).
-
-    Returns {"U", "res", "iter", "converged"}; chord variant (switches.newt=1)
-    freezes the Jacobian at entry.
-    """
-    U = np.array(U, dtype=float)
-    n = state.nu + state.nq
-    tol, imax = state.controls.tol, state.controls.imax
-    chord = state.switches.newt == 1
-    cache = linsolve.FactorCache()
-    r = problem.residual(state, U)
-    res = _norm(r)
-    it = 0
-    J = None
-    while res > tol and it < imax:
-        try:
-            if J is None or not chord:
-                J = problem.jacobian_active(state, U)[:, :n].tocsc()
-            dy = linsolve.lss(J, -r, cache=cache,
-                              key="chord" if chord else None)
-        except SingularMatrixError:
-            return {"U": U, "res": res, "iter": it, "converged": False}
-        y = problem.pack_active(state, U)
-        y[:n] += dy
-        U = problem.apply_active(state, U, y)
-        r = problem.residual(state, U)
-        res = _norm(r)
-        it += 1
-    return {"U": U, "res": res, "iter": it, "converged": bool(res <= tol)}
+    """Newton at fixed primary parameter (border e_alpha); returns
+    {"U", "res", "iter", "converged"}."""
+    e = np.zeros(state.nu + state.nq + 1)
+    e[-1] = 1.0
+    return _newton(state, U, e, problem.pack_active(state, U), 0.0)
 
 
 def nloopext(state, U_pred, ds, U_base=None, tau=None):
-    """Newton for the extended system (G, q, arclength); one bordered solve
-    per iteration.  U_base/tau default to the state's current point/tangent."""
-    U = np.array(U_pred, dtype=float)
+    """Newton in arclength (border w*tau) from U_base/tau, by default the
+    state's current point/tangent."""
     U_base = state.u if U_base is None else U_base
     tau = state.tau if tau is None else tau
+    return _newton(state, U_pred, problem.weights_vector(state) * tau,
+                   problem.pack_active(state, U_base), ds)
+
+
+def _newton(state, U, border, y_base, ds):
+    """Newton on (G, q, <border, y - y_base> - ds) = 0 in y = (u, wtilde,
+    alpha): one LU per iteration, or per call for chord (switches.newt=1)."""
+    U = np.array(U, dtype=float)
     tol, imax = state.controls.tol, state.controls.imax
     chord = state.switches.newt == 1
-    cache = linsolve.FactorCache()
-    w = problem.weights_vector(state)
-    y_base = problem.pack_active(state, U_base)
-    border = w * tau
 
     def p_res(Uc):
         return float(border @ (problem.pack_active(state, Uc) - y_base)) - ds
@@ -83,13 +69,13 @@ def nloopext(state, U_pred, ds, U_base=None, tau=None):
     r = problem.residual(state, U)
     res = max(_norm(r), abs(p_res(U)))
     it = 0
-    A = None
+    lu = None
     while res > tol and it < imax:
         try:
-            if A is None or not chord:
+            if lu is None or not chord:
                 A = problem.jacobian_active(state, U)
-            dy = linsolve.blss(A, border, -p_res(U), -r, cache=cache,
-                               key="chord" if chord else None)
+                lu = state.ops.cache.factorize(linsolve.bordered(A, border))
+            dy = linsolve.solve(lu, -np.append(r, p_res(U)))
         except SingularMatrixError:
             return {"U": U, "res": res, "iter": it, "converged": False}
         y = problem.pack_active(state, U) + dy
@@ -106,13 +92,18 @@ def nloopext(state, U_pred, ds, U_base=None, tau=None):
 def compute_tangent(state, U, tau_old):
     """New tangent from the bordered system J tau = 0, <w tau_old, tau> = 1,
     normalized in the weighted product with continuity of direction."""
-    A = problem.jacobian_active(state, U)
-    w = problem.weights_vector(state)
-    tau = linsolve.blss(A, w * tau_old, 1.0, np.zeros(state.nu + state.nq))
-    tau /= np.sqrt(problem.weighted_dot(state, tau, tau))
+    tau = unit_tangent(state, U, problem.weights_vector(state) * tau_old)
     if problem.weighted_dot(state, tau, tau_old) < 0:
         tau = -tau
     return tau
+
+
+def unit_tangent(state, U, border):
+    """Solution of J tau = 0, <border, tau> = 1 at U, scaled to unit length
+    in the weighted product."""
+    A = problem.jacobian_active(state, U)
+    tau = linsolve.blss(A, border, 1.0, np.zeros(state.nu + state.nq))
+    return tau / np.sqrt(problem.weighted_dot(state, tau, tau))
 
 
 def point_spectrum(state, U):
@@ -226,8 +217,6 @@ def bisect_special_point(state, left, right, kind):
 def cont(state, nsteps=None):
     """Continue the branch: predictor -> corrector -> spectrum -> detection ->
     record/save -> stepsize update -> user-target interception."""
-    from . import io as _io
-
     nc, sw = state.controls, state.switches
     nsteps = nc.nsteps if nsteps is None else nsteps
     problem.init_weights(state)
@@ -239,9 +228,8 @@ def cont(state, nsteps=None):
     if state.sol.ineg < 0 and sw.spcalc:
         state.sol.ineg = point_spectrum(state, state.u)["ineg"]
     if not state.branch:
-        state.branch.append(make_record(state, state.u, state.ptype,
-                                        state.sol.ineg))
-        _save(state, _io)
+        _record(state, state.u, state.ptype, state.sol.ineg,
+                f"pt{state.file.count}")
 
     steps = 0
     while steps < nsteps and state.total_steps < nc.ntot:
@@ -282,17 +270,17 @@ def cont(state, nsteps=None):
         if sw.bifcheck and state.sol.ineg >= 0 and ineg_new != state.sol.ineg:
             loc = bisect_special_point(state, old_pt, new_pt, "bifurcation")
             state.file.bcount += 1
-            _record_special(state, loc, 1, f"bpt{state.file.bcount}", _io)
+            _record_special(state, loc, 1, f"bpt{state.file.bcount}")
         if sw.foldcheck and (tau_new[-1] > 0) != (tau0[-1] > 0):
             loc = bisect_special_point(state, old_pt, new_pt, "fold")
             state.file.fcount += 1
-            _record_special(state, loc, 2, f"fpt{state.file.fcount}", _io)
+            _record_special(state, loc, 2, f"fpt{state.file.fcount}")
 
         # user-target parameter values crossed in this step
         lam1 = float(U_new[state.nu + state.ilam[0] - 1])
         for target in sorted(state.usrlam, key=lambda t: abs(t - lam0)):
             if min(lam0, lam1) < target <= max(lam0, lam1) and target != lam0:
-                _converge_at_lambda(state, old_pt["U"], U_new, target, _io)
+                _converge_at_lambda(state, old_pt["U"], U_new, target)
 
         # accept
         state.uold = state.u.copy()
@@ -303,8 +291,7 @@ def cont(state, nsteps=None):
         state.file.count += 1
         state.total_steps += 1
         steps += 1
-        state.branch.append(make_record(state, state.u, 0, ineg_new))
-        _save(state, _io)
+        _record(state, state.u, 0, ineg_new, f"pt{state.file.count}")
         stepsize_update(state, result["iter"], failed=False)
 
         if not (nc.lammin <= state.primary_value <= nc.lammax):
@@ -312,7 +299,7 @@ def cont(state, nsteps=None):
     return state
 
 
-def _converge_at_lambda(state, U_a, U_b, target, io_mod):
+def _converge_at_lambda(state, U_a, U_b, target):
     """Natural-parametrization solve at exactly the requested primary value,
     started from the linear interpolant between the bracketing points."""
     slot = state.nu + state.ilam[0] - 1
@@ -322,37 +309,45 @@ def _converge_at_lambda(state, U_a, U_b, target, io_mod):
     U0[slot] = target
     res = nloop(state, U0)
     if not res["converged"]:
+        _record(state, None, 0, state.sol.ineg,
+                f"user target {_primary_name(state)} = {target:.10g}",
+                failure=f"corrector did not converge (residual "
+                        f"{res['res']:.2e}); no point recorded")
         return
     state.file.count += 1
-    rec = make_record(state, res["U"], 0, state.sol.ineg, usr=1)
-    state.branch.append(rec)
-    if state.file.dir:
-        snap = _snapshot(state, res["U"], 0)
-        io_mod.save_point(snap, f"pt{state.file.count}")
+    _record(state, res["U"], 0, state.sol.ineg, f"pt{state.file.count}",
+            usr=1)
 
 
-def _record_special(state, loc, ptype, name, io_mod):
+def _record_special(state, loc, ptype, name):
     state.file.count += 1
-    rec = make_record(state, loc["U"], ptype, loc["ineg"])
-    state.branch.append(rec)
+    failure = None
+    if loc["warn"]:
+        lam = loc["U"][state.nu + state.ilam[0] - 1]
+        failure = (f"the corrector failed inside the bisection; the point at "
+                   f"{_primary_name(state)} = {lam:.10g} is not localized")
+    _record(state, loc["U"], ptype, loc["ineg"], name, tau=loc["tau"],
+            failure=failure)
+
+
+def _record(state, U, ptype, ineg, name, tau=None, usr=0, failure=None):
+    """Append the branch record of U and save it as point file `name`; a
+    failure is a RuntimeWarning naming the point (U None: nothing saved)."""
+    if failure is not None:
+        warnings.warn(f"{name}: {failure}", RuntimeWarning, stacklevel=3)
+    if U is None:
+        return
+    state.branch.append(make_record(state, U, ptype, ineg, usr=usr))
     if state.file.dir:
-        snap = _snapshot(state, loc["U"], ptype, tau=loc["tau"])
-        io_mod.save_point(snap, name)
+        snap = copy.copy(state)
+        snap.u = np.array(U, dtype=float)
+        snap.tau = state.tau if tau is None else tau
+        snap.ptype = ptype
+        _io.save_point(snap, name)
 
 
-def _snapshot(state, U, ptype, tau=None):
-    """Shallow copy of the state carrying a different point (for file output)."""
-    import copy
-    snap = copy.copy(state)
-    snap.u = np.array(U, dtype=float)
-    snap.tau = state.tau if tau is None else tau
-    snap.ptype = ptype
-    return snap
-
-
-def _save(state, io_mod):
-    if state.file.dir:
-        io_mod.save_point(state, f"pt{state.file.count}")
+def _primary_name(state):
+    return state.parnames[state.ilam[0] - 1]
 
 
 def _norm(r):

@@ -1,4 +1,6 @@
-"""Sparse linear solves, bordered solves and near-zero spectrum computation."""
+"""Sparse LU solves, the one bordered matrix every continuation solve
+factorizes (the Jacobian of (G, q) in (u, wtilde, alpha) plus one row:
+e_alpha or the weighted tangent), and near-zero spectrum computation."""
 
 from __future__ import annotations
 
@@ -16,15 +18,13 @@ class SingularMatrixError(RuntimeError):
 
 
 class FactorCache:
-    """LU factorization cache keyed by caller-chosen identity."""
+    """Sparse LU that counts its factorizations (factor_count) and keeps
+    none: a caller reusing one (chord Newton, tints) holds the LU itself."""
 
     def __init__(self):
-        self._store: dict = {}
         self.factor_count = 0
 
-    def factorize(self, A: sp.spmatrix, key=None):
-        if key is not None and key in self._store:
-            return self._store[key]
+    def factorize(self, A: sp.spmatrix):
         try:
             with warnings.catch_warnings():
                 warnings.simplefilter("error", spla.MatrixRankWarning)
@@ -32,47 +32,45 @@ class FactorCache:
         except (RuntimeError, spla.MatrixRankWarning) as exc:
             raise SingularMatrixError(str(exc)) from exc
         self.factor_count += 1
-        if key is not None:
-            self._store[key] = lu
         return lu
 
-    def invalidate(self, key=None):
-        if key is None:
-            self._store.clear()
-        else:
-            self._store.pop(key, None)
 
-
-def lss(A: sp.spmatrix, rhs: np.ndarray, cache: FactorCache | None = None,
-        key=None) -> np.ndarray:
-    """Solve A x = rhs by sparse LU with partial pivoting.
-
-    Pass a cache and key to reuse the factorization when A is unchanged;
-    without a cache the factorization is not kept.
-    """
-    rhs = np.asarray(rhs, dtype=float)
-    if A.shape[0] != A.shape[1] or A.shape[0] != rhs.shape[0]:
-        raise ValueError(f"shape mismatch: A {A.shape}, rhs {rhs.shape}")
-    lu = (cache or FactorCache()).factorize(A, key=key)
+def solve(lu, rhs: np.ndarray) -> np.ndarray:
+    """lu.solve(rhs); a non-finite solution is a SingularMatrixError."""
     x = lu.solve(rhs)
     if not np.all(np.isfinite(x)):
         raise SingularMatrixError("linear solve produced non-finite values")
     return x
 
 
-def blss(A: sp.spmatrix, border_row: np.ndarray, border_rhs: float,
-         rhs: np.ndarray, cache: FactorCache | None = None,
-         key=None) -> np.ndarray:
-    """Solve the bordered system [[A], [border_row^T]] x = (rhs, border_rhs).
+def lss(A: sp.spmatrix, rhs: np.ndarray) -> np.ndarray:
+    """Solve A x = rhs by one sparse LU with partial pivoting."""
+    rhs = np.asarray(rhs, dtype=float)
+    if A.shape[0] != A.shape[1] or A.shape[0] != rhs.shape[0]:
+        raise ValueError(f"shape mismatch: A {A.shape}, rhs {rhs.shape}")
+    return solve(FactorCache().factorize(A), rhs)
 
-    A is n x (n+1); the assembled (n+1) x (n+1) system is passed to lss.
-    """
+
+def bordered(A: sp.csc_matrix, row: np.ndarray) -> sp.csc_matrix:
+    """[[A], [row]] in CSC: each nonzero of the dense row is appended to its
+    column of A as the new last row; zeros of the row are not stored."""
+    A = A.tocsc()
+    row = np.asarray(row, dtype=float)
+    cols = np.flatnonzero(row)
+    end = A.indptr[cols + 1]
+    indptr = A.indptr + np.concatenate([[0], np.cumsum(row != 0)])
+    return sp.csc_matrix((np.insert(A.data, end, row[cols]),
+                          np.insert(A.indices, end, A.shape[0]), indptr),
+                         shape=(A.shape[0] + 1, A.shape[1]))
+
+
+def blss(A: sp.spmatrix, border_row: np.ndarray, border_rhs: float,
+         rhs: np.ndarray) -> np.ndarray:
+    """Solve [[A], [border_row^T]] x = (rhs, border_rhs), A n x (n+1)."""
     n = A.shape[0]
     if A.shape[1] != n + 1 or len(border_row) != n + 1 or len(rhs) != n:
         raise ValueError("bordered system dimensions inconsistent")
-    B = sp.vstack([A.tocsr(), sp.csr_matrix(np.asarray(border_row)[None, :])],
-                  format="csc")
-    return lss(B, np.concatenate([rhs, [border_rhs]]), cache=cache, key=key)
+    return lss(bordered(A, border_row), np.append(rhs, border_rhs))
 
 
 def spectrum_near_zero(Gu: sp.spmatrix, M: sp.spmatrix, neig: int = 50) -> dict:

@@ -150,6 +150,7 @@ class OperatorCache:
     Fload: Optional[sp.csc_matrix] = None     # fill' * Mtl  (load from tri values)
     Ctri: Optional[sp.csc_matrix] = None      # C * fill (reduced nodal -> tri)
     per: Optional[Periodization] = None
+    # counts the LU factorizations of the correctors and of tints
     cache: linsolve.FactorCache = field(default_factory=linsolve.FactorCache)
 
 
@@ -256,7 +257,6 @@ def setfemops(state: ProblemState):
         n = state.nu
         state.ops.Q = sp.csc_matrix((n, n))
         state.ops.Gb = np.zeros(n)
-    state.ops.cache.invalidate()
 
 
 # ---------------------------------------------------------------------------

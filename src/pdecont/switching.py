@@ -1,5 +1,7 @@
 """Tangent initialization, branch switching at bifurcation points, and
-stability-index-driven bifurcation search."""
+stability-index-driven bifurcation search.  getinitau solves the bordered
+system with border e_alpha; swibra takes its kernel with border w*tau.
+"""
 
 from __future__ import annotations
 
@@ -20,12 +22,9 @@ def getinitau(state):
     vector in the primary-parameter slot; weighted-normalized, primary
     component nonnegative."""
     problem.init_weights(state)
-    n = state.nu + state.nq
-    A = problem.jacobian_active(state, state.u)
-    e = np.zeros(n + 1)
+    e = np.zeros(state.nu + state.nq + 1)
     e[-1] = 1.0
-    tau = linsolve.blss(A, e, 1.0, np.zeros(n))
-    tau /= np.sqrt(problem.weighted_dot(state, tau, tau))
+    tau = continuation.unit_tangent(state, state.u, e)
     if tau[-1] < 0:
         tau = -tau
     state.tau = tau
@@ -53,8 +52,7 @@ def swibra(state, ds_new, kerneltol=1e-6):
     tau_old = state.tau
     w = problem.weights_vector(state)
     A = problem.jacobian_active(state, state.u)
-    B = sp.vstack([A.tocsr(), sp.csr_matrix((w * tau_old)[None, :])],
-                  format="csc")
+    B = linsolve.bordered(A, w * tau_old)
     spec = linsolve.spectrum_near_zero(B, sp.identity(n + 1, format="csc"),
                                        neig=min(6, n))
     mu = spec["eigenvalues"]

@@ -1,10 +1,10 @@
 """Linearly implicit time integration of  d_t u = -G(u).
 
 tint reassembles all operators at every step (general path); tints keeps
-the stiff operator fixed and LU-factorizes Lambda = M + dt*K once, so each
-step is a pair of sparse triangular solves.  The tints splitting comes from
-the problem's semilinear declaration unless the caller passes one.  Neither
-variant has error or stepsize control.
+the stiff operator fixed and LU-factorizes Lambda = M + dt*K once per call,
+so each step is a pair of sparse triangular solves.  The tints splitting
+comes from the problem's semilinear declaration unless the caller passes
+one.  Neither variant has error or stepsize control.
 """
 
 from __future__ import annotations
@@ -65,24 +65,21 @@ def tints(state, dt, nt, pmod, forcing=None, K=None, diagnostics=True):
     state's parameters: K = d K - bx Kdx - by Kdy + Q implicit and the load
     Fload f + Gb explicit (problem.semilinear_splitting).  A problem without
     that declaration must pass both forcing and K; its boundary operator may
-    depend on u, so no cached matrix is taken for it.  A caller-passed K is
-    factorized once per (dt, K) in the state's cache.
+    depend on u, so no cached matrix is taken for it.  Lambda is factorized
+    afresh on every call (counted in state.ops.cache), so a K changed
+    between calls is always the one integrated.
     """
-    key = ("tints", float(dt), id(K))
     if forcing is None or K is None:
         if state.callbacks.semilinear is None:
             raise TimeintError(f"{state.name} declares no semilinear "
                                "operator; tints needs forcing and K")
         K0, forcing0 = problem.semilinear_splitting(state)
         forcing = forcing or forcing0
-        if K is None:
-            # a derived K is new on every call, so its id could later name
-            # another matrix: only a caller-passed K is kept in the cache
-            K, key = K0, None
+        K = K0 if K is None else K
     M = state.ops.M
     Lam = (M + dt * K).tocsc()
     try:
-        lu = state.ops.cache.factorize(Lam, key=key)
+        lu = state.ops.cache.factorize(Lam)
     except linsolve.SingularMatrixError as exc:
         raise TimeintError("stiff operator factorization failed") from exc
 

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from pdecont import continuation, demos, problem
+from pdecont import continuation, demos, linsolve, problem
 from pdecont.continuation import (bisect_special_point, compute_tangent, cont,
                                   nloop, nloopext, stepsize_update)
-from pdecont.switching import getinitau
+from pdecont.switching import findbif, getinitau
 
 
 @pytest.fixture
@@ -210,3 +210,107 @@ def test_tangent_continuity_along_branch(bratu):
         tau = compute_tangent(bratu, res["U"], prev)
         assert problem.weighted_dot(bratu, tau, prev) > 0
         bratu.u, prev = res["U"], tau
+
+
+# -- option paths of the corrector -------------------------------------------
+
+def _count_factorizations(monkeypatch):
+    """Fresh LU factorizations, counted by FactorCache.factor_count."""
+    fresh = []
+    orig = linsolve.FactorCache.factorize
+
+    def counting(self, A, *args, **kwargs):
+        n0 = self.factor_count
+        lu = orig(self, A, *args, **kwargs)
+        fresh.append(self.factor_count - n0)
+        return lu
+    monkeypatch.setattr(linsolve.FactorCache, "factorize", counting)
+    return fresh
+
+
+@pytest.mark.parametrize("case", ["nat", "arc"])
+def test_chord_newton_matches_full_newton(bratu, monkeypatch, case):
+    # from a solved point at lambda = 0.2: natural at lambda = 0.22, or
+    # arclength ds = 0.1 along the tangent
+    bratu.setaux("lambda", 0.2)
+    bratu.u = nloop(bratu, bratu.u)["U"]
+    problem.init_weights(bratu)
+    getinitau(bratu)
+    y = problem.pack_active(bratu, bratu.u)
+    if case == "nat":
+        y[-1] = 0.22
+        U0 = problem.apply_active(bratu, bratu.u, y)
+        call = lambda: nloop(bratu, U0)                    # noqa: E731
+    else:
+        U0 = problem.apply_active(bratu, bratu.u, y + 0.1 * bratu.tau)
+        call = lambda: nloopext(bratu, U0, 0.1)            # noqa: E731
+    full = call()
+    assert full["converged"]
+    fresh = _count_factorizations(monkeypatch)
+    bratu.switches.newt = 1
+    chord = call()
+    assert chord["converged"] and chord["res"] <= bratu.controls.tol
+    # one factorization for the whole call, reused by every iteration
+    assert sum(fresh) == 1 and chord["iter"] > 1
+    # the residual is mass-weighted, so points agreeing to tol in the
+    # residual agree to O(tol / h^2) in U
+    assert np.abs(chord["U"] - full["U"]).max() <= 100 * bratu.controls.tol
+
+
+@pytest.mark.parametrize("para, meth", [(0, "nat"), (2, "arc")])
+def test_forced_parametrization(bratu, para, meth):
+    bratu.switches.para = para
+    bratu.sol.ds = 0.05
+    for _ in range(3):
+        cont(bratu, 1)
+        assert bratu.sol.meth == meth
+    assert bratu.total_steps == 3
+    assert np.linalg.norm(problem.residual(bratu), np.inf) \
+        <= bratu.controls.tol
+
+
+def test_bifloc_predictors_locate_the_same_point():
+    located = []
+    for bifloc in (0, 1, 2):
+        st = demos.make("acfold", {"nx": 30, "ny": 27})
+        st.switches.bifloc = bifloc
+        ds0 = st.sol.ds
+        findbif(st, 1)
+        bifs = [r.pars[0] for r in st.branch if r.ptype == 1]
+        assert len(bifs) == 1, f"bifloc={bifloc}"
+        located.append(bifs[0])
+    # the predictor only seeds the corrector: every bisection ends in the
+    # same bracket, of width at most ds / 2**bisecmax
+    tol = abs(ds0) / 2 ** st.controls.bisecmax
+    assert max(located) - min(located) <= tol
+
+
+# -- failures are reported, not swallowed -------------------------------------
+
+def test_bisection_failure_warns_and_keeps_the_point(monkeypatch):
+    st = demos.make("acfold", {"nx": 18, "ny": 16})
+    orig = continuation.bisect_special_point
+
+    def failing(state, left, right, kind):
+        return dict(orig(state, left, right, kind), warn=True)
+    monkeypatch.setattr(continuation, "bisect_special_point", failing)
+    with pytest.warns(RuntimeWarning, match="bpt1"):
+        findbif(st, 1)
+    assert [r.ptype for r in st.branch].count(1) == 1
+
+
+def test_missed_user_target_warns(bratu, monkeypatch):
+    bratu.usrlam = [0.15]
+    bratu.sol.ds = 0.05
+    slot = bratu.nu + bratu.ilam[0] - 1
+    orig = continuation.nloop
+
+    def failing_at_target(state, U):
+        res = orig(state, U)
+        if U[slot] == 0.15:
+            res = dict(res, converged=False)
+        return res
+    monkeypatch.setattr(continuation, "nloop", failing_at_target)
+    with pytest.warns(RuntimeWarning, match="user target lambda = 0.15"):
+        cont(bratu, 10)
+    assert not any(r.usr for r in bratu.branch)

@@ -33,18 +33,16 @@ def test_lss_shape_and_singular_errors():
         linsolve.lss(sp.identity(3, format="csc"), np.ones(2))
 
 
-def test_factor_cache_reuse_and_invalidate():
-    cache = linsolve.FactorCache()
-    A = _spd(40, 4)
-    b = np.ones(40)
-    x1 = linsolve.lss(A, b, cache=cache, key="a")
-    assert cache.factor_count == 1
-    x2 = linsolve.lss(A, 2 * b, cache=cache, key="a")
-    assert cache.factor_count == 1          # factorization reused
-    assert np.array_equal(2 * x1, x2)
-    cache.invalidate("a")
-    linsolve.lss(A, b, cache=cache, key="a")
-    assert cache.factor_count == 2
+def test_bordered_is_the_stacked_matrix():
+    rng = np.random.default_rng(4)
+    A = sp.random(20, 21, density=0.2, format="csc", random_state=6)
+    row = rng.standard_normal(21)
+    row[[0, 7, 20]] = 0.0
+    B = linsolve.bordered(A, row)
+    assert B.format == "csc" and B.shape == (21, 21)
+    assert B.nnz == A.nnz + 18              # zeros of the row are not stored
+    want = sp.vstack([A, sp.csr_matrix(row[None, :])], format="csc")
+    assert np.array_equal(B.toarray(), want.toarray())
 
 
 def test_blss_matches_assembled_solve():

@@ -56,6 +56,26 @@ def test_tints_factorizes_once():
     assert after == before + 1
 
 
+def test_tints_refactorizes_a_changed_operator():
+    # K changed in place between two calls with the same dt: the second
+    # call must integrate the new K, as a state that never saw the old one
+    def start():
+        st = demos.make("schnak")
+        st.u[:st.nu] += 0.01 * np.sin(np.arange(st.nu))
+        return st
+    st, fresh = start(), start()
+    K = (st.ops.K + st.ops.Q).tocsc()
+    K0 = K.copy()
+    tints(st, 0.05, 5, 5, _schnak_forcing, K=K)
+    K.data *= 4
+    before = st.ops.cache.factor_count
+    tints(st, 0.05, 5, 5, _schnak_forcing, K=K)
+    assert st.ops.cache.factor_count == before + 1
+    tints(fresh, 0.05, 5, 5, _schnak_forcing, K=K0)
+    tints(fresh, 0.05, 5, 5, _schnak_forcing, K=(4 * K0).tocsc())
+    assert np.array_equal(st.u, fresh.u)
+
+
 def test_tints_default_splitting_reproduces_tint():
     # the splitting derived from the semilinear declaration (diffusion and
     # boundary springs implicit, load explicit) is the one tint uses
