@@ -11,7 +11,7 @@ from .fem import BCSpec, CoeffTensors, assemble_boundary, assemble_interior, \
     assemble_load, assemble_mass, dirichlet_bc, jaccheck, neumann_bc
 from .io import export_branch, load_point, save_point
 from .linsolve import FactorCache, SingularMatrixError, blss, lss, \
-    spectrum_near_zero
+    spectrum_near_zero, stability_index
 from .mesh import Mesh, build_rect_mesh, node_to_triangle
 from .periodic import BCPer, Periodization, build_fill_drop, \
     build_periodization

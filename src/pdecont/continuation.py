@@ -87,7 +87,7 @@ def _newton(state, U, border, y_base, ds):
 
 
 # ---------------------------------------------------------------------------
-# tangents and spectra
+# tangents and stability
 
 def compute_tangent(state, U, tau_old):
     """New tangent from the bordered system J tau = 0, <w tau_old, tau> = 1,
@@ -106,15 +106,25 @@ def unit_tangent(state, U, border):
     return tau / np.sqrt(problem.weighted_dot(state, tau, tau))
 
 
-def point_spectrum(state, U):
-    """Near-zero spectrum of the PDE-block Jacobian at U (base block when
-    running a fold/branch-point continuation)."""
+def _stability_block(state, U):
+    """PDE-block Jacobian and mass matrix at U whose spectrum decides
+    stability: the base block when running a fold/branch-point continuation."""
     if state.mode == "spcont":
         from . import spcont as _spcont
-        Gu, M = _spcont.base_pde_block(state, U)
-    else:
-        Gu, M = problem.pde_jacobian_u(state, U), state.ops.M
-    return linsolve.spectrum_near_zero(Gu, M, state.controls.neig)
+        return _spcont.base_pde_block(state, U)
+    return problem.pde_jacobian_u(state, U), state.ops.M
+
+
+def point_spectrum(state, U):
+    """Near-zero spectrum of the stability block at U."""
+    return linsolve.spectrum_near_zero(*_stability_block(state, U),
+                                       state.controls.neig)
+
+
+def point_ineg(state, U):
+    """Stability index (number of unstable eigenvalues) at U."""
+    return linsolve.stability_index(*_stability_block(state, U),
+                                    state.controls.neig)
 
 
 def _l2norm(state, U):
@@ -198,8 +208,8 @@ def bisect_special_point(state, left, right, kind):
             break
         U_mid = res["U"]
         tau_mid = compute_tangent(state, U_mid, left["tau"])
-        mid = {"U": U_mid, "tau": tau_mid,
-               "ineg": point_spectrum(state, U_mid)["ineg"], "ds": ds_br / 2.0}
+        mid = {"U": U_mid, "tau": tau_mid, "ineg": point_ineg(state, U_mid),
+               "ds": ds_br / 2.0}
         if indicator(mid) != indicator(left):
             right = mid
             left["ds"] = ds_br / 2.0
@@ -215,8 +225,8 @@ def bisect_special_point(state, left, right, kind):
 # main driver
 
 def cont(state, nsteps=None):
-    """Continue the branch: predictor -> corrector -> spectrum -> detection ->
-    record/save -> stepsize update -> user-target interception."""
+    """Continue the branch: predictor -> corrector -> stability index ->
+    detection -> record/save -> stepsize update -> user-target interception."""
     nc, sw = state.controls, state.switches
     nsteps = nc.nsteps if nsteps is None else nsteps
     problem.init_weights(state)
@@ -226,7 +236,7 @@ def cont(state, nsteps=None):
         from . import switching as _switching
         _switching.getinitau(state)
     if state.sol.ineg < 0 and sw.spcalc:
-        state.sol.ineg = point_spectrum(state, state.u)["ineg"]
+        state.sol.ineg = point_ineg(state, state.u)
     if not state.branch:
         _record(state, state.u, state.ptype, state.sol.ineg,
                 f"pt{state.file.count}")
@@ -257,11 +267,7 @@ def cont(state, nsteps=None):
         U_new = result["U"]
         state.sol.iter = result["iter"]
         tau_new = compute_tangent(state, U_new, tau0)
-        ineg_new = state.sol.ineg
-        if sw.spcalc:
-            spec = point_spectrum(state, U_new)
-            ineg_new = spec["ineg"]
-            state.sol.muv = spec["eigenvalues"]
+        ineg_new = point_ineg(state, U_new) if sw.spcalc else state.sol.ineg
 
         # detection + localization between the previous and the new point
         old_pt = {"U": state.u.copy(), "tau": tau0, "ineg": state.sol.ineg,
@@ -271,7 +277,7 @@ def cont(state, nsteps=None):
             loc = bisect_special_point(state, old_pt, new_pt, "bifurcation")
             state.file.bcount += 1
             _record_special(state, loc, 1, f"bpt{state.file.bcount}")
-        if sw.foldcheck and (tau_new[-1] > 0) != (tau0[-1] > 0):
+        if sw.foldcheck and _lam_sign(tau_new) * _lam_sign(tau0) < 0:
             loc = bisect_special_point(state, old_pt, new_pt, "fold")
             state.file.fcount += 1
             _record_special(state, loc, 2, f"fpt{state.file.fcount}")
@@ -297,6 +303,15 @@ def cont(state, nsteps=None):
         if not (nc.lammin <= state.primary_value <= nc.lammax):
             return state
     return state
+
+
+def _lam_sign(tau):
+    """Sign of a tangent's primary-parameter component, 0 where that is zero
+    to rounding (the kernel direction swibra takes at a pitchfork): a fold
+    is a change between two nonzero signs."""
+    if abs(tau[-1]) <= 1e-10 * np.abs(tau).max():
+        return 0.0
+    return float(np.sign(tau[-1]))
 
 
 def _converge_at_lambda(state, U_a, U_b, target):

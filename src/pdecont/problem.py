@@ -78,7 +78,6 @@ class SolInfo:
     xi: float = 1.0
     xiq: float = 1.0
     ineg: int = -1
-    muv: Optional[np.ndarray] = None
     iter: int = 0
     meth: str = "arc"
     restart: bool = False
@@ -293,15 +292,24 @@ def tensor_residual(state: ProblemState, U: np.ndarray) -> np.ndarray:
 
 
 def pde_jacobian_u(state: ProblemState, U: np.ndarray) -> sp.csc_matrix:
-    """d(PDE residual)/du, sparse nu x nu."""
+    """d(PDE residual)/du, sparse nu x nu in canonical CSC."""
     if state.mode == "spcont":
         from . import spcont as _spcont
-        return _spcont.extended_pde_jacobian_u(state, U)
-    if state.switches.jac == 0:
-        return _fd_jacobian_u(state, U)
-    if state.callbacks.semilinear is not None:
-        return _semilinear_jacobian_u(state, U)
-    return tensor_jacobian_u(state, U)
+        J = _spcont.extended_pde_jacobian_u(state, U)
+    elif state.switches.jac == 0:
+        J = _fd_jacobian_u(state, U)
+    elif state.callbacks.semilinear is not None:
+        J = _semilinear_jacobian_u(state, U)
+    else:
+        J = tensor_jacobian_u(state, U)
+    return _canonical(J)
+
+
+def _canonical(A: sp.spmatrix) -> sp.csc_matrix:
+    """A as CSC with sorted indices and no duplicates."""
+    A = A.tocsc()
+    A.sum_duplicates()
+    return A
 
 
 def tensor_jacobian_u(state: ProblemState, U: np.ndarray) -> sp.csc_matrix:
@@ -385,7 +393,7 @@ def jacobian_active(state: ProblemState, U: np.ndarray | None = None) -> sp.csc_
     Ju = sp.vstack([Gu, Qu], format="csc")
     W = fd_columns(lambda V: residual(state, V), U, active_slots(state),
                    state.controls.del_)
-    return sp.hstack([Ju, sp.csc_matrix(W)], format="csc")
+    return _canonical(sp.hstack([Ju, sp.csc_matrix(W)], format="csc"))
 
 
 # ---------------------------------------------------------------------------

@@ -103,3 +103,18 @@ def test_spectrum_dense_vs_arnoldi_agree():
     dense = la.eig(A.toarray(), M.toarray())[0]
     dense = dense[np.argsort(np.abs(dense))][:8]
     assert np.allclose(np.sort(arnoldi.real), np.sort(dense.real), atol=1e-8)
+
+
+def test_factorize_leaves_its_argument_alone():
+    A = _spd(40, 7)
+    # the same matrix with the row indices of every column reversed
+    rev = np.concatenate([np.arange(a, b)[::-1]
+                          for a, b in zip(A.indptr[:-1], A.indptr[1:])])
+    B = sp.csc_matrix((A.data[rev], A.indices[rev], A.indptr), shape=A.shape)
+    assert not B.has_sorted_indices
+    before = [B.indices.copy(), B.indptr.copy(), B.data.copy()]
+    lu = linsolve.FactorCache().factorize(B)
+    for got, want in zip([B.indices, B.indptr, B.data], before):
+        assert np.array_equal(got, want)
+    x = np.arange(40, dtype=float)
+    assert np.allclose(lu.solve(A @ x), x, atol=1e-10)

@@ -214,3 +214,15 @@ def test_periodic_reduction_consistency():
     assert np.all(np.isfinite(r))
     # the homogeneous state is an equilibrium on the torus/cylinder as well
     assert np.abs(r).max() <= 1e-8
+
+
+@pytest.mark.parametrize("demo", ["acfold", "bratu", "acfront",
+                                  "schnaktravel"])
+def test_jacobians_are_canonical_csc(demo):
+    # the caller's Jacobian is what gets factorized; splu would sort a
+    # non-canonical one in place
+    st = demos.make(demo)
+    problem.init_weights(st)
+    for J in (problem.pde_jacobian_u(st, st.u),
+              problem.jacobian_active(st, st.u)):
+        assert J.format == "csc" and J.has_canonical_format

@@ -1,0 +1,166 @@
+"""The stability index from a symmetric-mode LU (Sylvester's law of inertia)
+against eigenvalue counts, and the shift-invert kernels of swibra and
+spcontini against dense eigensolves."""
+
+import numpy as np
+import pytest
+import scipy.linalg as la
+import scipy.sparse as sp
+
+from pdecont import continuation, demos, fem, io, linsolve, problem, spcont
+from pdecont.mesh import build_rect_mesh
+from pdecont.switching import findbif, swibra
+
+
+def _count_fallbacks(monkeypatch):
+    calls = []
+    orig = linsolve.spectrum_near_zero
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return orig(*args, **kwargs)
+    monkeypatch.setattr(linsolve, "spectrum_near_zero", counting)
+    return calls
+
+
+# -- acfold 20x18: findbif(2), then the switched branch through its fold -----
+
+@pytest.fixture(scope="module")
+def acfold_run(tmp_path_factory):
+    """Every stability index the runs compute, beside the count of negative
+    eigenvalues of the dense symmetric pencil at the same point."""
+    out = str(tmp_path_factory.mktemp("acfold"))
+    seen = []
+    orig = linsolve.stability_index
+
+    def checked(Gu, M, neig=50):
+        got = orig(Gu, M, neig)
+        mu = la.eigh(Gu.toarray(), M.toarray(), eigvals_only=True)
+        seen.append((got, int(np.sum(mu < 0))))
+        return got
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(linsolve, "stability_index", checked)
+        st = demos.make("acfold", {"nx": 20, "ny": 18})
+        st.usrlam = []
+        st.file.dir = out
+        findbif(st, 2)
+        trivial = list(st.branch)
+        st = io.load_point(out, "bpt1")
+        st.file.dir = out1 = str(tmp_path_factory.mktemp("branch1"))
+        swibra(st, 0.1)
+        st.switches.foldcheck = 1
+        for _ in range(20):
+            continuation.cont(st, 1)
+            if st.file.fcount:
+                break
+    return {"out": out, "out1": out1, "seen": seen, "trivial": trivial,
+            "switched": list(st.branch)}
+
+
+def test_stability_index_is_the_eigen_count_along_acfold(acfold_run):
+    seen = acfold_run["seen"]
+    trivial, switched = acfold_run["trivial"], acfold_run["switched"]
+    assert sum(r.ptype == 1 for r in trivial) == 2
+    # the subcritical branch turns back well below the bifurcation point
+    folds = [r.pars[0] for r in switched if r.ptype == 2]
+    assert folds and folds[0] < switched[0].pars[0] - 0.1
+    # every recorded point and every bisection midpoint went through it
+    assert len(seen) > len(trivial) + len(switched)
+    assert [got for got, _ in seen] == [want for _, want in seen]
+    assert max(want for _, want in seen) >= 2
+
+
+@pytest.mark.parametrize("lam_part", [1e-30, 0.0, -1e-30])
+def test_fold_check_needs_a_lambda_component(acfold_run, lam_part):
+    # at the pitchfork the switched direction has no lambda component; its
+    # rounding-level sign says nothing about a fold in the first step
+    st = io.load_point(acfold_run["out"], "bpt1")
+    st.file.dir = ""
+    swibra(st, 0.1)
+    st.tau[-1] = lam_part
+    st.switches.foldcheck = 1
+    continuation.cont(st, 1)
+    assert [r.ptype for r in st.branch] == [-2, 0]
+
+
+def _dense_kernel(A, B=None):
+    """Eigenvector of the smallest-magnitude eigenvalue of A v = mu B v."""
+    mu, V = la.eig(A.toarray(), None if B is None else B.toarray())
+    return np.real(V[:, np.argmin(np.abs(mu))])
+
+
+def _close_up_to_sign(a, b, tol):
+    return min(np.abs(a - b).max(), np.abs(a + b).max()) <= tol
+
+
+def test_swibra_direction_matches_dense_kernel(acfold_run):
+    st = io.load_point(acfold_run["out"], "bpt1")
+    tau_old = np.array(st.tau)
+    problem.init_weights(st)
+    w = problem.weights_vector(st)
+    B = linsolve.bordered(problem.jacobian_active(st, st.u), w * tau_old)
+    z = _dense_kernel(B)
+    z = z - problem.weighted_dot(st, z, tau_old) * tau_old
+    z /= np.sqrt(problem.weighted_dot(st, z, z))
+    swibra(st, 0.1)
+    assert st.nu == 399
+    assert _close_up_to_sign(st.tau, z, 1e-6)
+
+
+def test_spcontini_kernel_matches_dense_kernel(acfold_run):
+    st = io.load_point(acfold_run["out1"], "fpt1")
+    Gu = problem.pde_jacobian_u(st, st.u)
+    phi = _dense_kernel(Gu, st.ops.M)
+    phi /= np.sqrt(phi @ (st.ops.M @ phi))
+    spcont.spcontini(st, 3)
+    _, got, _ = spcont.split(st, st.u)
+    assert _close_up_to_sign(got, phi, 1e-6)
+
+
+# -- the count itself ---------------------------------------------------------
+
+def test_stability_index_is_exact_past_neig():
+    # Dirichlet K - lam M on (0, pi)^2: the negative eigenvalues are the
+    # discrete Laplace eigenvalues below lam (2, 5, 5, 8, 10, 10, ...)
+    m = build_rect_mesh(np.pi / 2, np.pi / 2, 12, 12)
+    K = fem.assemble_interior(m, fem.CoeffTensors(c=1.0))["K"]
+    bops = fem.assemble_boundary(m, fem.dirichlet_bc(1), np.zeros(m.npoints),
+                                 np.zeros(1))
+    M = fem.assemble_mass(m)
+    A = (K + bops["Q"] - 21.0 * M).tocsc()
+    want = int(np.sum(la.eigh(A.toarray(), M.toarray(),
+                              eigvals_only=True) < 0))
+    assert want > 5
+    assert linsolve.stability_index(A, M, neig=5) == want
+    assert linsolve.spectrum_near_zero(A, M, neig=5)["ineg"] <= 5
+
+
+@pytest.mark.parametrize("lam", [3.5, 3.0])
+def test_stability_index_nonsymmetric_uses_the_spectrum(monkeypatch, lam):
+    # schnak's homogeneous state: stable at lam = 3.5, Turing-unstable at 3
+    st = demos.make("schnak", {"lam": lam})
+    Gu, M = problem.pde_jacobian_u(st, st.u), st.ops.M
+    want = linsolve.spectrum_near_zero(Gu, M, st.controls.neig)["ineg"]
+    calls = _count_fallbacks(monkeypatch)
+    assert linsolve.stability_index(Gu, M, st.controls.neig) == want
+    assert calls == [1]
+    assert (want > 0) == (lam < 3.2085)
+
+
+@pytest.mark.parametrize("case", ["zero column", "zero diagonal"])
+def test_stability_index_falls_back_instead_of_raising(monkeypatch, case):
+    d = np.array([1.0, -2.0, 3.0, -4.0, 5.0, 6.0])
+    if case == "zero column":                 # exactly singular
+        d[2] = 0.0
+        A = sp.diags(d, format="csc")
+    else:                                     # needs an off-diagonal pivot
+        d[:2] = 0.0
+        A = sp.lil_matrix(np.diag(d))
+        A[0, 1] = A[1, 0] = 1.0
+        A = A.tocsc()
+    M = sp.identity(6, format="csc")
+    want = linsolve.spectrum_near_zero(A, M, neig=4)["ineg"]
+    calls = _count_fallbacks(monkeypatch)
+    assert linsolve.stability_index(A, M, neig=4) == want
+    assert calls == [1]
