@@ -128,11 +128,9 @@ _MASS_ELEM = np.array([[2., 1., 1.], [1., 2., 1.], [1., 1., 2.]]) / 12.0
 
 def assemble_mass(mesh: Mesh, neq: int = 1) -> sp.csc_matrix:
     """Consistent P1 mass matrix, block-diagonal over components."""
-    n = mesh.npoints
     area = mesh.tri_areas()
     vals = area[:, None, None] * _MASS_ELEM[None, :, :]
-    M1 = _scatter(mesh, vals, n)
-    return _blockdiag(M1, neq)
+    return _blockdiag(_scatter(mesh, vals), neq)
 
 
 def assemble_interior(mesh: Mesh, coeffs: CoeffTensors, neq: int = 1) -> dict:
@@ -149,19 +147,21 @@ def assemble_interior(mesh: Mesh, coeffs: CoeffTensors, neq: int = 1) -> dict:
         for s in range(neq):
             # diffusion: area * grad_i^T c[r,s] grad_j
             crs = ct.c[:, r, s]                       # (nt, 2, 2)
-            kv = np.einsum("t,tid,tde,tje->tij", area, grads, crs, grads)
-            if np.any(kv):
-                Kb[(r, s)] = _scatter(mesh, kv, n)
+            if np.any(crs):
+                gc = (grads @ crs) * area[:, None, None]
+                kv = (gc[:, :, None, 0] * grads[:, None, :, 0]
+                      + gc[:, :, None, 1] * grads[:, None, :, 1])
+                Kb[(r, s)] = _scatter(mesh, kv)
             ars = ct.a[:, r, s]
             if np.any(ars):
                 mv = (area * ars)[:, None, None] * _MASS_ELEM[None, :, :]
-                Mb[(r, s)] = _scatter(mesh, mv, n)
+                Mb[(r, s)] = _scatter(mesh, mv)
             brs = ct.b[:, r, s]                       # (nt, 2)
             if np.any(brs):
                 # -int (b . grad u) phi_i = -(b . grad_j) * area / 3 per vertex
                 av = -np.einsum("t,td,tjd->tj", area / 3.0, brs, grads)
                 av = np.repeat(av[:, None, :], 3, axis=1)
-                Ab[(r, s)] = _scatter(mesh, av, n)
+                Ab[(r, s)] = _scatter(mesh, av)
 
     def build(blocks):
         if not blocks:
@@ -296,15 +296,15 @@ def jaccheck(state, u=None) -> dict:
 # ---------------------------------------------------------------------------
 # helpers
 
-def _scatter(mesh: Mesh, vals: np.ndarray, n: int) -> sp.csc_matrix:
-    """Sum per-triangle 3x3 element matrices into a sparse n x n matrix."""
-    tri = mesh.triangles
-    rows = np.repeat(tri, 3, axis=1).ravel()
-    cols = np.tile(tri, (1, 3)).ravel()
-    A = sp.coo_matrix((vals.ravel(), (rows, cols)), shape=(n, n)).tocsc()
-    A.sum_duplicates()
-    A.sort_indices()
-    return A
+def _scatter(mesh: Mesh, vals: np.ndarray) -> sp.csc_matrix:
+    """Sum per-triangle 3x3 element matrices onto the mesh's cached P1
+    pattern: canonical CSC, npoints x npoints."""
+    indptr, indices, slot = mesh.p1_pattern()
+    data = np.bincount(slot.ravel(), weights=vals.ravel(),
+                       minlength=len(indices))
+    n = mesh.npoints
+    # copied: the pattern arrays belong to the mesh
+    return sp.csc_matrix((data, indices, indptr), shape=(n, n), copy=True)
 
 
 def _blockdiag(A: sp.spmatrix, neq: int) -> sp.csc_matrix:

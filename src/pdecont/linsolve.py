@@ -17,6 +17,12 @@ import scipy.sparse.linalg as spla
 DENSE_EIG_LIMIT = 0
 # Gu counts as symmetric when ||Gu - Gu^T||_inf <= SYMMETRY_RTOL ||Gu||_inf
 SYMMETRY_RTOL = 1e-12
+# Column ordering of every LU: minimum degree on the pattern of A^T + A.
+# Every matrix factorized here is a structurally symmetric P1 operator, at
+# most bordered by dense rows and columns; above about a thousand unknowns
+# SuperLU's default COLAMD, which orders for A^T A, fills far more on those
+# (1.11 M against 0.69 M nonzeros in L + U for M + dt A at 105 x 105).
+PERMC_SPEC = "MMD_AT_PLUS_A"
 
 
 class SingularMatrixError(RuntimeError):
@@ -31,15 +37,16 @@ class FactorCache:
         self.factor_count = 0
 
     def factorize(self, A: sp.spmatrix, **options):
-        """splu(A, **options); A itself is left as it is (splu would sort a
-        non-canonical CSC matrix in place, so it gets a copy)."""
+        """splu(A, permc_spec=PERMC_SPEC, **options), partial pivoting unless
+        the options say otherwise; A itself is left as it is (splu would sort
+        a non-canonical CSC matrix in place, so it gets a copy)."""
         A = A.tocsc()
         if not A.has_canonical_format:
             A = A.copy()
         try:
             with warnings.catch_warnings():
                 warnings.simplefilter("error", spla.MatrixRankWarning)
-                lu = spla.splu(A, **options)
+                lu = spla.splu(A, **{"permc_spec": PERMC_SPEC, **options})
         except (RuntimeError, spla.MatrixRankWarning) as exc:
             raise SingularMatrixError(str(exc)) from exc
         self.factor_count += 1

@@ -43,6 +43,7 @@ class Mesh:
 
     _areas: np.ndarray | None = field(default=None, repr=False, compare=False)
     _grads: np.ndarray | None = field(default=None, repr=False, compare=False)
+    _pattern: tuple | None = field(default=None, repr=False, compare=False)
 
     def tri_areas(self) -> np.ndarray:
         """Signed triangle areas (positive for valid meshes)."""
@@ -68,6 +69,22 @@ class Mesh:
             g /= area2[:, :, None] if area2.ndim == 3 else area2[:, None]
             self._grads = g
         return self._grads
+
+    def p1_pattern(self) -> tuple:
+        """CSC pattern of the P1 node graph, (indptr, indices, slot): entry
+        (i, j) of triangle t's element matrix, which couples nodes
+        triangles[t, i] and triangles[t, j], sums into data[slot[t, i, j]]."""
+        if self._pattern is None:
+            n, tri = self.npoints, self.triangles
+            rows = np.repeat(tri, 3, axis=1).ravel()
+            cols = np.tile(tri, (1, 3)).ravel()
+            keys, slot = np.unique(cols * n + rows, return_inverse=True)
+            indptr = np.searchsorted(keys, np.arange(n + 1) * n)
+            # 32-bit where it fits, as scipy.sparse stores its indices
+            idx = np.int32 if len(keys) <= np.iinfo(np.int32).max else np.int64
+            self._pattern = (indptr.astype(idx), (keys % n).astype(idx),
+                             slot.astype(idx).reshape(self.ntri, 3, 3))
+        return self._pattern
 
 
 def build_rect_mesh(lx: float, ly: float, nx: int, ny: int) -> Mesh:

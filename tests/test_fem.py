@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from hypothesis import given, settings, strategies as st
 
-from pdecont import demos, fem
+from pdecont import demos, fem, problem
 from pdecont.mesh import build_rect_mesh
 
 LX, LY = 1.0, 0.8
@@ -183,3 +184,94 @@ def test_jaccheck_on_demos(demo):
     state = demos.make(demo)
     chk = fem.jaccheck(state)
     assert chk["maxdiff"] <= 1e-5, f"{demo}: maxdiff={chk['maxdiff']:.3e}"
+
+
+# -- assembly against a plain COO reference ---------------------------------
+
+def _coo(mesh, vals):
+    """Sum per-triangle 3x3 element matrices through COO, duplicates summed."""
+    tri, n = mesh.triangles, mesh.npoints
+    rows = np.repeat(tri, 3, axis=1).ravel()
+    cols = np.tile(tri, (1, 3)).ravel()
+    return sp.coo_matrix((vals.ravel(), (rows, cols)), shape=(n, n)).tocsc()
+
+
+def _reference(mesh, ct, neq):
+    """K, Ma and Kadv from the element formulas, one COO sum per block."""
+    area, g = mesh.tri_areas(), mesh.tri_grads()
+    mass = np.array([[2., 1., 1.], [1., 2., 1.], [1., 1., 2.]]) / 12.0
+    blocks = {"K": [], "Ma": [], "Kadv": []}
+    for r in range(neq):
+        for name in blocks:
+            blocks[name].append([])
+        for s in range(neq):
+            kv = np.einsum("t,tid,tde,tje->tij", area, g, ct.c[:, r, s], g)
+            mv = (area * ct.a[:, r, s])[:, None, None] * mass
+            av = -np.einsum("t,td,tjd->tj", area / 3.0, ct.b[:, r, s], g)
+            av = np.repeat(av[:, None, :], 3, axis=1)
+            for name, vals in (("K", kv), ("Ma", mv), ("Kadv", av)):
+                blocks[name][r].append(_coo(mesh, vals))
+    return {name: sp.bmat(grid, format="csc") for name, grid in blocks.items()}
+
+
+def _assert_close(A, B, rtol=1e-13):
+    assert A.shape == B.shape
+    scale = abs(B).max()
+    assert abs(A - B).max() <= rtol * scale, abs(A - B).max() / scale
+
+
+@pytest.mark.parametrize("neq", [1, 2])
+def test_assembly_matches_coo_reference(neq):
+    m = build_rect_mesh(1.0, 0.7, 9, 7)
+    rng = np.random.default_rng(11)
+    nt = m.ntri
+    c = rng.standard_normal((nt, neq, neq, 2, 2))
+    c = c + np.swapaxes(c, -1, -2) + 4 * np.eye(2)
+    ct = fem.CoeffTensors(c=c, a=rng.standard_normal((nt, neq, neq)),
+                          b=rng.standard_normal((nt, neq, neq, 2)))
+    got = fem.assemble_interior(m, ct, neq)
+    want = _reference(m, ct.normalized(nt, neq), neq)
+    for name in ("K", "Ma", "Kadv"):
+        _assert_close(got[name], want[name])
+    mass = _reference(m, fem.CoeffTensors(a=1.0).normalized(nt, neq), neq)
+    _assert_close(fem.assemble_mass(m, neq), mass["Ma"])
+
+
+@pytest.mark.parametrize("demo", ["acfold", "schnak"])
+@pytest.mark.parametrize("bcper", [0, 1, 2, 3])
+def test_cached_operators_match_coo_reference(demo, bcper):
+    st = demos.make(demo, {"nx": 6, "ny": 8})
+    pattern = st.mesh.p1_pattern()
+    st.switches.bcper = bcper
+    problem.setfemops(st)
+    assert st.mesh.p1_pattern() is pattern
+    m, neq, fill = st.mesh, st.neq, st.ops.per.fill
+    nt = m.ntri
+    sl = st.callbacks.semilinear
+    K = _reference(m, fem.CoeffTensors(c=sl.c).normalized(nt, neq), neq)["K"]
+    M = _reference(m, fem.CoeffTensors(a=1.0).normalized(nt, neq), neq)["Ma"]
+    _assert_close(st.ops.K, fill.T @ K @ fill)
+    _assert_close(st.ops.M, fill.T @ M @ fill)
+    for attr, d in (("Kdx", 0), ("Kdy", 1)):
+        b = np.zeros((neq, neq, 2))
+        b[np.arange(neq), np.arange(neq), d] = 1.0
+        adv = _reference(m, fem.CoeffTensors(b=b).normalized(nt, neq),
+                         neq)["Kadv"]
+        _assert_close(getattr(st.ops, attr), -(fill.T @ adv @ fill))
+
+
+def test_assembly_is_canonical_on_one_cached_pattern():
+    m = build_rect_mesh(1.0, 0.7, 9, 7)
+    pattern = m.p1_pattern()
+    b = np.zeros((1, 1, 2))
+    b[0, 0] = [0.3, -0.2]
+    ops = fem.assemble_interior(m, fem.CoeffTensors(c=1.0, a=2.0, b=b))
+    M = fem.assemble_mass(m)
+    for A in (M, ops["K"], ops["Ma"], ops["Kadv"]):
+        assert A.format == "csc" and A.has_canonical_format
+    assert m.p1_pattern() is pattern
+    # a caller changing a returned matrix in place leaves the pattern alone
+    M.indices[:] = 0
+    M.indptr[:] = 0
+    _assert_close(fem.assemble_mass(m), fem.assemble_mass(
+        build_rect_mesh(1.0, 0.7, 9, 7)), rtol=0.0)

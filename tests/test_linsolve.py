@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from pdecont import fem, linsolve
+from pdecont import demos, fem, linsolve, problem
 from pdecont.mesh import build_rect_mesh
 
 
@@ -100,9 +100,10 @@ def test_spectrum_dense_vs_arnoldi_agree():
     A = (K - 3.0 * M).tocsc()
     arnoldi = linsolve.spectrum_near_zero(A, M, neig=8)["eigenvalues"]
     import scipy.linalg as la
-    dense = la.eig(A.toarray(), M.toarray())[0]
+    assert abs(A - A.T).max() <= 1e-13 * abs(A).max()
+    dense = la.eigh(A.toarray(), M.toarray(), eigvals_only=True)
     dense = dense[np.argsort(np.abs(dense))][:8]
-    assert np.allclose(np.sort(arnoldi.real), np.sort(dense.real), atol=1e-8)
+    assert np.allclose(np.sort(arnoldi.real), np.sort(dense), atol=1e-8)
 
 
 def test_factorize_leaves_its_argument_alone():
@@ -118,3 +119,57 @@ def test_factorize_leaves_its_argument_alone():
         assert np.array_equal(got, want)
     x = np.arange(40, dtype=float)
     assert np.allclose(lu.solve(A @ x), x, atol=1e-10)
+
+
+def _splu_calls(monkeypatch):
+    """Record the keyword arguments of every splu call linsolve makes."""
+    calls, splu = [], linsolve.spla.splu
+
+    def spy(A, **kw):
+        calls.append(kw)
+        return splu(A, **kw)
+    monkeypatch.setattr(linsolve.spla, "splu", spy)
+    return calls
+
+
+def test_factorize_orders_by_minimum_degree_on_at_plus_a(monkeypatch):
+    calls = _splu_calls(monkeypatch)
+    # COLAMD fills less below about a thousand unknowns, more above
+    st = demos.make("acfold", {"nx": 50, "ny": 50})
+    A = (st.ops.M + 0.01 * (0.25 * st.ops.K + st.ops.Q)).tocsc()
+    lu = linsolve.FactorCache().factorize(A)
+    # partial pivoting stays SuperLU's default
+    assert calls == [{"permc_spec": "MMD_AT_PLUS_A"}]
+    colamd = linsolve.FactorCache().factorize(A, permc_spec="COLAMD")
+    assert calls[-1] == {"permc_spec": "COLAMD"}
+    assert lu.nnz < colamd.nnz
+
+
+def test_stability_index_keeps_its_symmetric_mode_lu(monkeypatch):
+    calls = _splu_calls(monkeypatch)
+    m = build_rect_mesh(1.0, 1.0, 12, 12)
+    K = fem.assemble_interior(m, fem.CoeffTensors(c=1.0))["K"]
+    M = fem.assemble_mass(m)
+    A = (K - 21.0 * M).tocsc()
+    import scipy.linalg as la
+    want = int(np.sum(la.eigh(A.toarray(), M.toarray(),
+                              eigvals_only=True) < 0))
+    assert linsolve.stability_index(A, M) == want
+    assert calls == [{"permc_spec": "MMD_AT_PLUS_A", "diag_pivot_thresh": 0,
+                      "options": {"SymmetricMode": True}}]
+
+
+def test_factorize_solves_a_bordered_nonsymmetric_jacobian():
+    st = demos.make("acfront")
+    demos.acfront_freeze(st)
+    st.setaux("s", 0.4)
+    J = problem.jacobian_active(st)
+    Gu = J[:st.nu, :st.nu]
+    assert abs(Gu - Gu.T).max() > 1e-3 * abs(Gu).max()
+    rng = np.random.default_rng(8)
+    A = linsolve.bordered(J, rng.standard_normal(J.shape[1])).tocsc()
+    b = rng.standard_normal(A.shape[0])
+    x = linsolve.FactorCache().factorize(A).solve(b)
+    dense = np.linalg.solve(A.toarray(), b)
+    assert np.abs(x - dense).max() <= 1e-10 * np.abs(dense).max()
+    assert np.abs(A @ x - b).max() <= 1e-12 * abs(A).max() * np.abs(x).max()
