@@ -118,15 +118,16 @@ def cmd_plot(args):
 
 
 def cmd_check(args):
-    state = demos.make(args.demo)
+    state = demos.perturb(demos.make(args.demo), args.seed)
+    where = f"at the perturbed state of seed {args.seed}"
     chk = fem.jaccheck(state)
     ok = chk["maxdiff"] <= 1e-5
-    print(f"jaccheck {args.demo}: maxdiff={chk['maxdiff']:.3e} "
+    print(f"jaccheck {args.demo} {where}: maxdiff={chk['maxdiff']:.3e} "
           f"{'ok' if ok else 'FAIL'}")
     if state.callbacks.semilinear is not None:
         d = spcont.spjac_check(state)
         sp_ok = d <= 1e-5
-        print(f"spjac {args.demo}: maxdiff={d:.3e} "
+        print(f"spjac {args.demo} {where}: maxdiff={d:.3e} "
               f"{'ok' if sp_ok else 'FAIL'}")
         ok = ok and sp_ok
     if not ok:
@@ -208,8 +209,10 @@ def build_parser():
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_plot)
 
-    p = sub.add_parser("check", help="Jacobian consistency checks")
+    p = sub.add_parser("check", help="Jacobian consistency checks at a "
+                                     "seeded perturbation of the demo state")
     p.add_argument("demo")
+    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_check)
     return ap
 

@@ -4,7 +4,9 @@ bifurcation and fold points, and user-target parameter output.
 
 Both correctors are one Newton loop on the bordered system (G, q,
 <border, y - y_base> - ds) = 0: border e_alpha and ds = 0 (natural), or
-w*tau (arclength); the tangent solves it with right-hand side (0, 1).
+w*tau (arclength).  The tangent at a point comes from one factorization of
+the square block d(G, q)/d(u, wtilde) by block elimination; where that
+block is Gu, the same factorization gives the stability index.
 """
 
 from __future__ import annotations
@@ -18,6 +20,12 @@ import numpy as np
 from . import io as _io
 from . import linsolve, problem
 from .linsolve import SingularMatrixError
+
+
+# The elimination tangent (-z, 1) gives way to the stacked bordered solve
+# when ||z||_inf >= 1 / FOLD_RTOL: at a fold the square block is singular,
+# the bordered matrix is not
+FOLD_RTOL = 1e-6
 
 
 class ContinuationError(RuntimeError):
@@ -41,7 +49,7 @@ class BranchRecord:
 
 def nloop(state, U):
     """Newton at fixed primary parameter (border e_alpha); returns
-    {"U", "res", "iter", "converged"}."""
+    {"U", "r", "res", "iter", "converged"}, r the residual (G, q) at U."""
     e = np.zeros(state.nu + state.nq + 1)
     e[-1] = 1.0
     return _newton(state, U, e, problem.pack_active(state, U), 0.0)
@@ -73,37 +81,77 @@ def _newton(state, U, border, y_base, ds):
     while res > tol and it < imax:
         try:
             if lu is None or not chord:
-                A = problem.jacobian_active(state, U)
+                A = problem.jacobian_active(state, U, f0=r)
                 lu = state.ops.cache.factorize(linsolve.bordered(A, border))
             dy = linsolve.solve(lu, -np.append(r, p_res(U)))
         except SingularMatrixError:
-            return {"U": U, "res": res, "iter": it, "converged": False}
+            return {"U": U, "r": r, "res": res, "iter": it,
+                    "converged": False}
         y = problem.pack_active(state, U) + dy
         U = problem.apply_active(state, U, y)
         r = problem.residual(state, U)
         res = max(_norm(r), abs(p_res(U)))
         it += 1
-    return {"U": U, "res": res, "iter": it, "converged": bool(res <= tol)}
+    return {"U": U, "r": r, "res": res, "iter": it,
+            "converged": bool(res <= tol)}
 
 
 # ---------------------------------------------------------------------------
 # tangents and stability
 
 def compute_tangent(state, U, tau_old):
-    """New tangent from the bordered system J tau = 0, <w tau_old, tau> = 1,
-    normalized in the weighted product with continuity of direction."""
-    tau = unit_tangent(state, U, problem.weights_vector(state) * tau_old)
+    """New unit tangent at U (unit_tangent, border w tau_old) with
+    continuity of direction: <tau, tau_old>_w > 0."""
+    return tangent_and_index(state, U, tau_old, index=False)[0]
+
+
+def tangent_and_index(state, U, tau_old, f0=None, index=True):
+    """(tau, ineg): compute_tangent's tangent and, with index, the stability
+    index at U (else None), both from one Jacobian and, where the square
+    block is Gu, one factorization.  f0 is the residual at U when the
+    caller holds it."""
+    tau, ineg = unit_tangent(state, U, problem.weights_vector(state) * tau_old,
+                             f0, index)
     if problem.weighted_dot(state, tau, tau_old) < 0:
         tau = -tau
-    return tau
+    return tau, ineg
 
 
-def unit_tangent(state, U, border):
-    """Solution of J tau = 0, <border, tau> = 1 at U, scaled to unit length
-    in the weighted product."""
-    A = problem.jacobian_active(state, U)
-    tau = linsolve.blss(A, border, 1.0, np.zeros(state.nu + state.nq))
-    return tau / np.sqrt(problem.weighted_dot(state, tau, tau))
+def unit_tangent(state, U, border, f0=None, index=False):
+    """(tau, ineg): the solution of J tau = 0, <border, tau> = 1 at U scaled
+    to unit length in the weighted product, and with index the stability
+    index at U (else None).
+
+    J = [A0, a] with A0 = d(G, q)/d(u, wtilde) square and a = d(G, q)/dalpha,
+    so tau is (-A0^{-1} a, 1) up to scale, from one LU of A0
+    (linsolve.factorize_square); the border only sets the scale.  Where A0
+    is Gu (nq = 0, normal mode) the index is that LU's inertia.  A singular
+    A0, a solve that fails checked_solve's residual test, or a fold
+    (||A0^{-1} a||_inf >= 1 / FOLD_RTOL) take the stacked bordered solve
+    linsolve.blss instead.
+    """
+    J = problem.jacobian_active(state, U, f0)
+    n = J.shape[0]
+    A0, a = J[:, :n], J[:, n].toarray().ravel()
+    ineg = z = None
+    try:
+        lu, ineg = linsolve.factorize_square(A0, state.ops.cache)
+        z = linsolve.checked_solve(lu, A0, a)
+    except SingularMatrixError:
+        pass
+    if z is None or np.abs(z).max(initial=0.0) * FOLD_RTOL >= 1.0:
+        tau = linsolve.blss(J, border, 1.0, np.zeros(n))
+    else:
+        tau = np.append(-z, 1.0)
+    tau = tau / np.sqrt(problem.weighted_dot(state, tau, tau))
+    if not index:
+        return tau, None
+    if state.mode == "spcont" or state.nq:         # A0 is not Gu
+        return tau, point_ineg(state, U)
+    if ineg is None:        # Gu nonsymmetric, or its LDL^T refused/singular
+        ineg = linsolve.spectrum_near_zero(A0, state.ops.M,
+                                           state.controls.neig)["ineg"]
+    return tau, ineg
 
 
 def _stability_block(state, U):
@@ -207,9 +255,9 @@ def bisect_special_point(state, left, right, kind):
             warn = True
             break
         U_mid = res["U"]
-        tau_mid = compute_tangent(state, U_mid, left["tau"])
-        mid = {"U": U_mid, "tau": tau_mid, "ineg": point_ineg(state, U_mid),
-               "ds": ds_br / 2.0}
+        tau_mid, ineg_mid = tangent_and_index(state, U_mid, left["tau"],
+                                              res["r"])
+        mid = {"U": U_mid, "tau": tau_mid, "ineg": ineg_mid, "ds": ds_br / 2.0}
         if indicator(mid) != indicator(left):
             right = mid
             left["ds"] = ds_br / 2.0
@@ -261,13 +309,20 @@ def cont(state, nsteps=None):
                 break
             if abs(ds) / 2.0 < nc.dsmin:
                 state.sol.restart = True
+                _record(state, None, 0, state.sol.ineg,
+                        f"step from {_primary_name(state)} = {lam0:.10g}",
+                        failure=f"the corrector failed down to ds = {ds:.3g}"
+                                f" (dsmin = {nc.dsmin:.3g}); the "
+                                f"continuation stops")
                 return state
             stepsize_update(state, result["iter"], failed=True)
 
         U_new = result["U"]
         state.sol.iter = result["iter"]
-        tau_new = compute_tangent(state, U_new, tau0)
-        ineg_new = point_ineg(state, U_new) if sw.spcalc else state.sol.ineg
+        tau_new, ineg_new = tangent_and_index(state, U_new, tau0, result["r"],
+                                              index=bool(sw.spcalc))
+        if ineg_new is None:
+            ineg_new = state.sol.ineg
 
         # detection + localization between the previous and the new point
         old_pt = {"U": state.u.copy(), "tau": tau0, "ineg": state.sol.ineg,

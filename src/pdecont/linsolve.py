@@ -1,7 +1,9 @@
-"""Sparse LU solves, the one bordered matrix every continuation solve
-factorizes (the Jacobian of (G, q) in (u, wtilde, alpha) plus one row:
-e_alpha or the weighted tangent), the stability index and near-zero
-spectrum computation."""
+"""Sparse LU solves: the bordered matrix of the Newton correctors (the
+Jacobian of (G, q) in (u, wtilde, alpha) plus one row, e_alpha or the
+weighted tangent), the one factorization of a square block that serves both
+the tangent and the stability index (factorize_square, checked_solve), the
+stacked bordered solve the tangent falls back on (blss), and the near-zero
+spectrum."""
 
 from __future__ import annotations
 
@@ -17,6 +19,12 @@ import scipy.sparse.linalg as spla
 DENSE_EIG_LIMIT = 0
 # Gu counts as symmetric when ||Gu - Gu^T||_inf <= SYMMETRY_RTOL ||Gu||_inf
 SYMMETRY_RTOL = 1e-12
+# The symmetric-mode LU is refused when a pivot |d| <= PIVOT_RTOL ||A||_inf:
+# unpivoted elimination past a tiny pivot grows the later ones without bound
+PIVOT_RTOL = 1e-12
+# checked_solve accepts x when ||A x - b||_inf <= SOLVE_RTOL
+# (||A||_inf ||x||_inf + ||b||_inf) after one step of iterative refinement
+SOLVE_RTOL = 1e-10
 # Column ordering of every LU: minimum degree on the pattern of A^T + A.
 # Every matrix factorized here is a structurally symmetric P1 operator, at
 # most bordered by dense rows and columns; above about a thousand unknowns
@@ -91,26 +99,68 @@ def blss(A: sp.spmatrix, border_row: np.ndarray, border_rhs: float,
     return lss(bordered(A, border_row), np.append(rhs, border_rhs))
 
 
+def factorize_square(A: sp.spmatrix, cache: FactorCache | None = None):
+    """One LU of the square matrix A and, when it tells, its inertia:
+    (lu, ineg).
+
+    Symmetric A first gets a symmetric-mode LU, P A P^T = L D L^T, accepted
+    when rows and columns share one ordering and no pivot is tiny
+    (|d| <= PIVOT_RTOL ||A||_inf); ineg is then its number of negative
+    pivots.  Otherwise (nonsymmetric A, a zero, tiny or off-diagonal pivot)
+    it is SuperLU's partial-pivoting LU and ineg is None.  The LU is
+    unpivoted in the first case, so solve with checked_solve.  Raises
+    SingularMatrixError when the pivoting LU fails too.
+    """
+    cache = FactorCache() if cache is None else cache
+    A = A.tocsc()
+    return _inertia_lu(A, cache) or (cache.factorize(A), None)
+
+
+def _inertia_lu(A: sp.csc_matrix, cache: FactorCache):
+    """factorize_square's accepted symmetric-mode LU and its count of
+    negative pivots, or None."""
+    norm = _infnorm(A)
+    if _infnorm(A - A.T) > SYMMETRY_RTOL * norm:
+        return None
+    try:
+        lu = cache.factorize(A, diag_pivot_thresh=0,
+                             options={"SymmetricMode": True})
+    except SingularMatrixError:
+        return None
+    d = lu.U.diagonal()
+    if (not np.array_equal(lu.perm_r, lu.perm_c)
+            or np.abs(d).min() <= PIVOT_RTOL * norm):
+        return None
+    return lu, int(np.count_nonzero(d < 0))
+
+
+def checked_solve(lu, A: sp.spmatrix, b: np.ndarray) -> np.ndarray:
+    """x = A^{-1} b from an LU of A with one step of iterative refinement;
+    a SingularMatrixError unless the residual then passes
+    ||A x - b||_inf <= SOLVE_RTOL (||A||_inf ||x||_inf + ||b||_inf)."""
+    x = solve(lu, b)
+    x = x + solve(lu, b - A @ x)
+    r = np.abs(b - A @ x).max(initial=0.0)
+    scale = (_infnorm(A) * np.abs(x).max(initial=0.0)
+             + np.abs(b).max(initial=0.0))
+    if not r <= SOLVE_RTOL * scale:
+        raise SingularMatrixError(f"solve residual {r:.2e} exceeds "
+                                  f"{SOLVE_RTOL:g} x {scale:.2e}")
+    return x
+
+
 def stability_index(Gu: sp.spmatrix, M: sp.spmatrix, neig: int = 50) -> int:
     """Number of eigenvalues of Gu v = mu M v (M SPD) with negative real part.
 
     Symmetric Gu: the exact count, not capped by neig.  By Sylvester's law of
-    inertia it is the number of negative pivots of a symmetric-mode LU, P Gu
-    P^T = L D L^T, accepted only when rows and columns share one ordering.
-    Otherwise (nonsymmetric Gu, a zero pivot, an off-diagonal pivot) it is
-    spectrum_near_zero's count among the neig eigenvalues nearest zero.
+    inertia it is the number of negative pivots of factorize_square's
+    symmetric-mode LU, P Gu P^T = L D L^T.  Otherwise (nonsymmetric Gu, or
+    that LU refused) it is spectrum_near_zero's count among the neig
+    eigenvalues nearest zero.
     """
-    Gu = Gu.tocsc()
-    if _infnorm(Gu - Gu.T) <= SYMMETRY_RTOL * _infnorm(Gu):
-        try:
-            lu = FactorCache().factorize(
-                Gu, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0,
-                options={"SymmetricMode": True})
-        except SingularMatrixError:
-            pass
-        else:
-            if np.array_equal(lu.perm_r, lu.perm_c):
-                return int(np.count_nonzero(lu.U.diagonal() < 0))
+    factored = _inertia_lu(Gu.tocsc(), FactorCache())
+    if factored is not None:
+        return factored[1]
     return spectrum_near_zero(Gu, M, neig)["ineg"]
 
 

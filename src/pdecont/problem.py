@@ -149,7 +149,7 @@ class OperatorCache:
     Fload: Optional[sp.csc_matrix] = None     # fill' * Mtl  (load from tri values)
     Ctri: Optional[sp.csc_matrix] = None      # C * fill (reduced nodal -> tri)
     per: Optional[Periodization] = None
-    # counts the LU factorizations of the correctors and of tints
+    # counts the LU factorizations of the correctors, tangents and tints
     cache: linsolve.FactorCache = field(default_factory=linsolve.FactorCache)
 
 
@@ -381,18 +381,20 @@ def aux_jacobian_u(state: ProblemState, U: np.ndarray) -> sp.csc_matrix:
                                     range(state.nu), state.controls.del_))
 
 
-def jacobian_active(state: ProblemState, U: np.ndarray | None = None) -> sp.csc_matrix:
+def jacobian_active(state: ProblemState, U: np.ndarray | None = None,
+                    f0: np.ndarray | None = None) -> sp.csc_matrix:
     """Jacobian of (G, q) w.r.t. (u, wtilde, alpha), shape (nu+nq) x (nu+nq+1).
 
     Derivatives w.r.t. the active auxiliary variables are one-sided forward
-    differences with step del.
+    differences with step del from f0, the residual at U (evaluated here
+    when not given).
     """
     U = state.u if U is None else np.asarray(U, dtype=float)
     Gu = pde_jacobian_u(state, U)
     Qu = aux_jacobian_u(state, U)
     Ju = sp.vstack([Gu, Qu], format="csc")
     W = fd_columns(lambda V: residual(state, V), U, active_slots(state),
-                   state.controls.del_)
+                   state.controls.del_, f0=f0)
     return _canonical(sp.hstack([Ju, sp.csc_matrix(W)], format="csc"))
 
 

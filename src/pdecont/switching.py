@@ -1,6 +1,7 @@
 """Tangent initialization, branch switching at bifurcation points, and
-stability-index-driven bifurcation search.  getinitau solves the bordered
-system with border e_alpha; swibra takes its kernel with border w*tau.
+stability-index-driven bifurcation search.  getinitau takes the tangent
+with border e_alpha; swibra takes the kernel of the Jacobian bordered with
+w*tau.
 """
 
 from __future__ import annotations
@@ -18,16 +19,20 @@ class SwitchingError(RuntimeError):
 
 
 def getinitau(state):
-    """Initial tangent from one bordered solve with the border row the unit
-    vector in the primary-parameter slot; weighted-normalized, primary
-    component nonnegative."""
+    """Initial tangent (continuation.unit_tangent, the border row the unit
+    vector in the primary-parameter slot); weighted-normalized, primary
+    component nonnegative.  A stability index the run needs and lacks
+    (spcalc, sol.ineg < 0) comes from the same factorization."""
     problem.init_weights(state)
     e = np.zeros(state.nu + state.nq + 1)
     e[-1] = 1.0
-    tau = continuation.unit_tangent(state, state.u, e)
+    need_index = bool(state.switches.spcalc) and state.sol.ineg < 0
+    tau, ineg = continuation.unit_tangent(state, state.u, e, index=need_index)
     if tau[-1] < 0:
         tau = -tau
     state.tau = tau
+    if need_index:
+        state.sol.ineg = ineg
     return state
 
 
@@ -44,8 +49,8 @@ def swibra(state, ds_new, kerneltol=1e-6):
     if state.tau is None:
         # fresh-guess entry (e.g. right after fold/branch-point exit):
         # no stored tangent, fall back to plain tangent initialization
-        getinitau(state)
         _restart_branch(state, ds_new, ptype=-2)
+        getinitau(state)
         return state
 
     n = state.nu + state.nq

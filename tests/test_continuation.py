@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -314,3 +316,22 @@ def test_missed_user_target_warns(bratu, monkeypatch):
     with pytest.warns(RuntimeWarning, match="user target lambda = 0.15"):
         cont(bratu, 10)
     assert not any(r.usr for r in bratu.branch)
+
+
+def test_stepsize_underflow_warns_and_stops(bratu, monkeypatch):
+    bratu.sol.ds = 0.05
+    cont(bratu, 2)
+    lam = bratu.primary_value
+
+    def never(state, U, *args, **kwargs):
+        return {"U": U, "r": None, "res": 1.0, "iter": state.controls.imax,
+                "converged": False}
+    monkeypatch.setattr(continuation, "nloop", never)
+    monkeypatch.setattr(continuation, "nloopext", never)
+    n = len(bratu.branch)
+    with pytest.warns(RuntimeWarning,
+                      match=re.escape(f"lambda = {lam:.10g}") + ".*ds = "):
+        cont(bratu, 5)
+    assert bratu.sol.restart
+    assert len(bratu.branch) == n and bratu.primary_value == lam
+    assert abs(bratu.sol.ds) / 2.0 < bratu.controls.dsmin

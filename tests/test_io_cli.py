@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from pdecont import cli, demos, io, plot, problem
+from pdecont import cli, demos, io, plot, problem, spcont
 from pdecont.continuation import cont
 
 
@@ -104,6 +104,21 @@ def test_cli_run_and_check(tmp_path):
     assert os.path.exists(os.path.join(out, "branch.csv"))
     assert os.path.exists(os.path.join(out, "pt1.json"))
     assert cli.main(["check", "bratu"]) == 0
+
+
+def test_cli_check_uses_a_perturbed_state(monkeypatch, capsys):
+    # bratu's default state (u = 0, lambda = 0) has a zero second block
+    seen = []
+    spjac_check = spcont.spjac_check
+
+    def spy(state, *args, **kwargs):
+        seen.append(np.array(state.u))
+        return spjac_check(state, *args, **kwargs)
+    monkeypatch.setattr(spcont, "spjac_check", spy)
+    assert cli.main(["check", "bratu"]) == 0
+    nu = demos.make("bratu").nu
+    assert np.ptp(seen[0][:nu]) > 0 and seen[0][nu] != 0
+    assert "perturbed state of seed 0" in capsys.readouterr().out
 
 
 def test_cli_error_paths(tmp_path, capsys):

@@ -173,3 +173,43 @@ def test_factorize_solves_a_bordered_nonsymmetric_jacobian():
     dense = np.linalg.solve(A.toarray(), b)
     assert np.abs(x - dense).max() <= 1e-10 * np.abs(dense).max()
     assert np.abs(A @ x - b).max() <= 1e-12 * abs(A).max() * np.abs(x).max()
+
+
+def test_tiny_pivot_refuses_the_symmetric_mode_lu():
+    # a symmetric indefinite block whose every diagonal entry is tiny, beside
+    # an SPD diagonal: unpivoted elimination starts on a pivot of 1e-13
+    delta = 1e-13
+    A = sp.block_diag([np.ones((3, 3)) + (delta - 1.0) * np.eye(3),
+                       sp.diags(np.arange(1.0, 6.0))], format="csc")
+    M = sp.identity(8, format="csc")
+    import scipy.linalg as la
+    want = int(np.sum(la.eigvalsh(A.toarray()) < 0))
+    assert want == 2
+    # the LU it refuses shares one ordering for rows and columns
+    ldlt = linsolve.FactorCache().factorize(
+        A, diag_pivot_thresh=0, options={"SymmetricMode": True})
+    assert np.array_equal(ldlt.perm_r, ldlt.perm_c)
+    assert np.abs(ldlt.U.diagonal()).min() <= linsolve.PIVOT_RTOL
+    lu, ineg = linsolve.factorize_square(A)
+    assert ineg is None
+    b = np.arange(1.0, 9.0)
+    x = linsolve.checked_solve(lu, A, b)
+    assert np.abs(x - np.linalg.solve(A.toarray(), b)).max() <= 1e-12
+    assert linsolve.stability_index(A, M) == want
+
+
+def test_checked_solve_refines_and_rejects():
+    A = _spd(40, 9)
+    x = np.linspace(-1.0, 1.0, 40)
+    lu = linsolve.FactorCache().factorize(A)
+    assert np.allclose(linsolve.checked_solve(lu, A, A @ x), x, atol=1e-12)
+    # one refinement step recovers from an LU of a nearby matrix, whose
+    # plain solve leaves a residual of about 1e-7
+    near = linsolve.FactorCache().factorize(
+        (A + 1e-7 * sp.diags(A.diagonal())).tocsc())
+    assert np.abs(A @ near.solve(A @ x) - A @ x).max() > 1e-9
+    assert np.allclose(linsolve.checked_solve(near, A, A @ x), x, atol=1e-12)
+    # an LU of a different matrix cannot pass the residual test
+    wrong = linsolve.FactorCache().factorize(_spd(40, 10))
+    with pytest.raises(linsolve.SingularMatrixError):
+        linsolve.checked_solve(wrong, A, A @ x)

@@ -226,3 +226,27 @@ def test_jacobians_are_canonical_csc(demo):
     for J in (problem.pde_jacobian_u(st, st.u),
               problem.jacobian_active(st, st.u)):
         assert J.format == "csc" and J.has_canonical_format
+
+
+@pytest.mark.parametrize("demo", ["acfold", "schnak", "schnaktravel",
+                                  "bratu", "nlbc", "acfront"])
+def test_jacobian_active_takes_the_residual_it_is_given(demo, monkeypatch):
+    # f0 only saves the residual at U that the parameter columns start from
+    st = demos.perturb(demos.make(demo), seed=4)
+    if demo == "acfront":
+        demos.acfront_freeze(st)
+    U = st.u
+    f0 = problem.residual(st, U)
+    calls = []
+    residual = problem.residual
+
+    def counting(state, V=None):
+        calls.append(1)
+        return residual(state, V)
+    monkeypatch.setattr(problem, "residual", counting)
+    want = problem.jacobian_active(st, U)
+    assert len(calls) == len(st.ilam) + 1
+    got = problem.jacobian_active(st, U, f0=f0)
+    assert len(calls) == 2 * len(st.ilam) + 1
+    for attr in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(got, attr), getattr(want, attr))

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from pdecont import continuation, demos, problem, spcont
+from pdecont import continuation, demos, fem, problem, spcont
 from pdecont.continuation import cont, nloop
 from pdecont.spcont import (SpcontError, spcontexit, spcontini, spjac_check,
                             split)
@@ -109,6 +109,27 @@ def test_analytic_second_block_matches_fd(fold_state):
 def test_spjac_check_all_providers(demo):
     st = demos.make(demo)
     assert spjac_check(st) <= 1e-5
+
+
+@pytest.mark.parametrize("demo, config", [("acfold", {"nx": 10, "ny": 9}),
+                                          ("bratu", {"nx": 8, "ny": 8})])
+def test_derivative_checks_see_the_nonlinearity(demo, config):
+    # at the demo defaults (u = 0; bratu also lambda = 0) the second block
+    # is zero and the u-Jacobian linear; at a perturbed state neither is
+    st = demos.perturb(demos.make(demo, config), seed=6, scale=0.1)
+    nb = st.nu
+    phi = st.ops.M @ np.ones(nb)
+    S = problem.semilinear_second_block(st, st.u[:nb], phi, st.u[nb:])
+    assert abs(S).max() > 1e-3 * abs(st.ops.M).max()
+    assert spjac_check(st) <= 1e-5
+    assert fem.jaccheck(st)["maxdiff"] <= 1e-5
+    # an error that vanishes at u = 0 shows in both checks
+    sl = st.callbacks.semilinear
+    fu, fuu = sl.fu, sl.fuu
+    sl.fu = lambda u, w: fu(u, w) + u**2
+    assert fem.jaccheck(st)["maxdiff"] > 1e-5
+    sl.fu, sl.fuu = fu, lambda u, p, w: fuu(u, p, w) + u * p
+    assert spjac_check(st) > 1e-5
 
 
 def test_fold_curve_continuation_keeps_invariants(fold_state):

@@ -32,15 +32,29 @@ def acfold_run(tmp_path_factory):
     out = str(tmp_path_factory.mktemp("acfold"))
     seen = []
     orig = linsolve.stability_index
+    orig_tangent = continuation.tangent_and_index
+
+    def eigen_count(Gu, M):
+        mu = la.eigh(Gu.toarray(), M.toarray(), eigvals_only=True)
+        return int(np.sum(mu < 0))
 
     def checked(Gu, M, neig=50):
         got = orig(Gu, M, neig)
-        mu = la.eigh(Gu.toarray(), M.toarray(), eigvals_only=True)
-        seen.append((got, int(np.sum(mu < 0))))
+        seen.append((got, eigen_count(Gu, M)))
         return got
+
+    # every point after the first takes its index from the tangent's
+    # factorization
+    def checked_tangent(state, U, tau_old, f0=None, index=True):
+        tau, got = orig_tangent(state, U, tau_old, f0, index)
+        if index:
+            Gu = problem.pde_jacobian_u(state, U)
+            seen.append((got, eigen_count(Gu, state.ops.M)))
+        return tau, got
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(linsolve, "stability_index", checked)
+        mp.setattr(continuation, "tangent_and_index", checked_tangent)
         st = demos.make("acfold", {"nx": 20, "ny": 18})
         st.usrlam = []
         st.file.dir = out
