@@ -125,7 +125,8 @@ def unit_tangent(state, U, border, f0=None, index=False):
     J = [A0, a] with A0 = d(G, q)/d(u, wtilde) square and a = d(G, q)/dalpha,
     so tau is (-A0^{-1} a, 1) up to scale, from one LU of A0
     (linsolve.factorize_square); the border only sets the scale.  Where A0
-    is Gu (nq = 0, normal mode) the index is that LU's inertia.  A singular
+    is Gu (nq = 0, normal mode) and its LDL^T is accepted, the index is
+    that LU's inertia; otherwise it is point_ineg's.  A singular
     A0, a solve that fails checked_solve's residual test, or a fold
     (||A0^{-1} a||_inf >= 1 / FOLD_RTOL) take the stacked bordered solve
     linsolve.blss instead.
@@ -146,11 +147,9 @@ def unit_tangent(state, U, border, f0=None, index=False):
     tau = tau / np.sqrt(problem.weighted_dot(state, tau, tau))
     if not index:
         return tau, None
-    if state.mode == "spcont" or state.nq:         # A0 is not Gu
-        return tau, point_ineg(state, U)
-    if ineg is None:        # Gu nonsymmetric, or its LDL^T refused/singular
-        ineg = linsolve.spectrum_near_zero(A0, state.ops.M,
-                                           state.controls.neig)["ineg"]
+    # A0 is not Gu, or Gu gave no accepted LDL^T: stability_index decides
+    if ineg is None or state.mode == "spcont" or state.nq:
+        ineg = point_ineg(state, U)
     return tau, ineg
 
 

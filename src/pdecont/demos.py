@@ -318,12 +318,15 @@ def make(name, config=None):
     return DEMOS[name](config)
 
 
-def perturb(state, seed=0, scale=0.02):
-    """Add seeded normal noise of standard deviation scale to every entry of
-    state.u, the auxiliary variables included: at a demo's default state
-    (u = 0, or lambda = 0) second derivatives can vanish identically.  The
-    default scale keeps schnak's v = 1/lambda ~ 0.29 clear of 0, where its
-    sigma terms grow like 1/v^4."""
+# standard deviation of perturb's noise: small enough to keep schnak's
+# v = 1/lambda ~ 0.29 clear of 0, where its sigma terms grow like 1/v^4
+PERTURB_SCALE = 0.02
+
+
+def perturb(state, seed=0):
+    """Add seeded normal noise of standard deviation PERTURB_SCALE to every
+    entry of state.u, the auxiliary variables included: at a demo's default
+    state (u = 0, or lambda = 0) second derivatives can vanish identically."""
     rng = np.random.default_rng(seed)
-    state.u = state.u + scale * rng.standard_normal(len(state.u))
+    state.u = state.u + PERTURB_SCALE * rng.standard_normal(len(state.u))
     return state

@@ -118,7 +118,7 @@ def test_cli_check_uses_a_perturbed_state(monkeypatch, capsys):
     assert cli.main(["check", "bratu"]) == 0
     nu = demos.make("bratu").nu
     assert np.ptp(seen[0][:nu]) > 0 and seen[0][nu] != 0
-    assert "perturbed state of seed 0" in capsys.readouterr().out
+    assert "seeded perturbed state (seed 0)" in capsys.readouterr().out
 
 
 def test_cli_error_paths(tmp_path, capsys):

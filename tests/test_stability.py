@@ -32,7 +32,7 @@ def acfold_run(tmp_path_factory):
     out = str(tmp_path_factory.mktemp("acfold"))
     seen = []
     orig = linsolve.stability_index
-    orig_tangent = continuation.tangent_and_index
+    orig_tangent = continuation.unit_tangent
 
     def eigen_count(Gu, M):
         mu = la.eigh(Gu.toarray(), M.toarray(), eigvals_only=True)
@@ -43,10 +43,10 @@ def acfold_run(tmp_path_factory):
         seen.append((got, eigen_count(Gu, M)))
         return got
 
-    # every point after the first takes its index from the tangent's
-    # factorization
-    def checked_tangent(state, U, tau_old, f0=None, index=True):
-        tau, got = orig_tangent(state, U, tau_old, f0, index)
+    # every point, a run's first included, takes its index from the
+    # tangent's factorization
+    def checked_tangent(state, U, border, f0=None, index=False):
+        tau, got = orig_tangent(state, U, border, f0, index)
         if index:
             Gu = problem.pde_jacobian_u(state, U)
             seen.append((got, eigen_count(Gu, state.ops.M)))
@@ -54,7 +54,7 @@ def acfold_run(tmp_path_factory):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(linsolve, "stability_index", checked)
-        mp.setattr(continuation, "tangent_and_index", checked_tangent)
+        mp.setattr(continuation, "unit_tangent", checked_tangent)
         st = demos.make("acfold", {"nx": 20, "ny": 18})
         st.usrlam = []
         st.file.dir = out
