@@ -47,8 +47,7 @@ def save_point(state, name):
         "nq": int(state.nq),
         "ptype": int(state.ptype),
         "mode": state.mode,
-        "spdata": ({"nu_base": int(state.spdata["nu_base"]),
-                    "old_primary": int(state.spdata.get("old_primary", 1))}
+        "spdata": ({"nu_base": int(state.spdata["nu_base"])}
                    if state.spdata else None),
         "spcont": int(state.switches.spcont),
         "counters": {"count": state.file.count, "bcount": state.file.bcount,
@@ -96,7 +95,9 @@ def load_point(directory, name):
 
     state.switches.spcont = int(doc["spcont"])
     state.mode = doc["mode"]
-    state.spdata = doc["spdata"]
+    # only nu_base is read; older files also carry old_primary in spdata
+    spd = doc["spdata"]
+    state.spdata = None if spd is None else {"nu_base": int(spd["nu_base"])}
     state.nq = int(doc["nq"])
     state.ilam = [int(i) for i in doc["ilam"]]
     state.ptype = int(doc["ptype"])

@@ -24,7 +24,6 @@ class MeshError(ValueError):
 class Mesh:
     points: np.ndarray       # (np, 2) node coordinates
     triangles: np.ndarray    # (nt, 3) node indices, positively oriented
-    tri_region: np.ndarray   # (nt,) region label
     edges: np.ndarray        # (ne, 2) boundary node pairs, ccw
     edge_seg: np.ndarray     # (ne,) segment id in {1,2,3,4}
     edge_s: np.ndarray       # (ne, 2) arclength positions of endpoints on the side
@@ -135,7 +134,6 @@ def build_rect_mesh(lx: float, ly: float, nx: int, ny: int) -> Mesh:
     return Mesh(
         points=points,
         triangles=triangles,
-        tri_region=np.ones(len(tris), dtype=np.int64),
         edges=np.array(edges, dtype=np.int64),
         edge_seg=np.array(segs, dtype=np.int64),
         edge_s=np.array(svals),

@@ -5,7 +5,8 @@ A problem either declares its interior operator once as a Semilinear, from
 which this module derives the residual and Jacobian on the cached operators,
 the fold-system second-derivative block, the coefficient tensors and the
 tints splitting; or it writes the tensor callbacks G/Gjac itself, which the
-general assembly path evaluates.
+general path assembles afresh at each call (assemble_general, shared by the
+tensor residual, the tensor Jacobian and tint).
 
 The unknown vector stores the nodal PDE values (length nu, reduced when a
 periodization is active) followed by all auxiliary variables.  The active
@@ -144,8 +145,6 @@ class OperatorCache:
     Kdy: Optional[sp.csc_matrix] = None
     Q: Optional[sp.csc_matrix] = None         # boundary matrix snapshot
     Gb: Optional[np.ndarray] = None
-    Mtl: Optional[sp.csc_matrix] = None       # full-mesh load operator
-    C: Optional[sp.csc_matrix] = None         # full-mesh node -> triangle mean
     Fload: Optional[sp.csc_matrix] = None     # fill' * Mtl  (load from tri values)
     Ctri: Optional[sp.csc_matrix] = None      # C * fill (reduced nodal -> tri)
     per: Optional[Periodization] = None
@@ -241,10 +240,8 @@ def setfemops(state: ProblemState):
         # Kadv folds in the minus sign; Kdx/Kdy are the plain derivative forms
         setattr(state.ops, attr, (-(fill.T @ adv @ fill)).tocsc())
 
-    state.ops.Mtl = fem.load_operator(mesh, neq)
-    state.ops.C = fem.interp_operator(mesh, neq)
-    state.ops.Fload = (fill.T @ state.ops.Mtl).tocsc()
-    state.ops.Ctri = (state.ops.C @ fill).tocsc()
+    state.ops.Fload = (fill.T @ fem.load_operator(mesh, neq)).tocsc()
+    state.ops.Ctri = (fem.interp_operator(mesh, neq) @ fill).tocsc()
 
     if state.callbacks.bc is not None:
         u_full = fill @ state.u[:state.nu]
@@ -272,23 +269,34 @@ def pde_residual(state: ProblemState, U: np.ndarray) -> np.ndarray:
 
 
 def tensor_residual(state: ProblemState, U: np.ndarray) -> np.ndarray:
-    """G(u,w) assembled from the coefficient tensors of callbacks.G and the
-    boundary provider: the general path, and the reference for the
+    """G(u,w) = A u - F of the general path (assemble_general): the residual
+    of a problem without a semilinear declaration, and the reference for the
     semilinear one."""
-    mesh, neq = state.mesh, state.neq
-    per = state.ops.per
-    u = U[:state.nu]
-    u_full = per.fill @ u
-    ct = state.callbacks.G(state, U).normalized(mesh.ntri, neq)
+    A, F = assemble_general(state, U, state.callbacks.G(state, U),
+                            state.callbacks.bc)
+    return A @ U[:state.nu] - F
+
+
+def assemble_general(state: ProblemState, U: np.ndarray, tensors, bc):
+    """The general path's reduced (A, F) at U, assembled afresh: A = K + Ma +
+    Kadv + Q from the coefficient tensors and the boundary provider bc (None:
+    no boundary term), F = load(f) + Gb.  The residual is A u - F and tint
+    steps with it; the Jacobian takes A from callbacks.Gjac."""
+    mesh, neq, fill = state.mesh, state.neq, state.ops.per.fill
+    ct = tensors.normalized(mesh.ntri, neq)
     ops = fem.assemble_interior(mesh, fem.CoeffTensors(ct.c, ct.a, ct.b), neq)
     A = ops["K"] + ops["Ma"] + ops["Kadv"]
     F = fem.assemble_load(mesh, ct.f.T, neq)
-    r = A @ u_full - F
-    if state.callbacks.bc is not None:
-        bdry = fem.assemble_boundary(mesh, state.callbacks.bc(state, U),
-                                     u_full, U[state.nu:], neq)
-        r = r + bdry["Q"] @ u_full - bdry["Gb"]
-    return per.fill.T @ r
+    if bc is not None:
+        bdry = fem.assemble_boundary(mesh, bc(state, U), fill @ U[:state.nu],
+                                     U[state.nu:], neq)
+        A = A + bdry["Q"]
+        F = F + bdry["Gb"]
+    # without a periodization fill is the identity, and the two products
+    # would take a quarter of a residual evaluation
+    if state.ops.per.bcper:
+        A, F = fill.T @ A @ fill, fill.T @ F
+    return A.tocsc(), F
 
 
 def pde_jacobian_u(state: ProblemState, U: np.ndarray) -> sp.csc_matrix:
@@ -313,22 +321,15 @@ def _canonical(A: sp.spmatrix) -> sp.csc_matrix:
 
 
 def tensor_jacobian_u(state: ProblemState, U: np.ndarray) -> sp.csc_matrix:
-    """d(tensor_residual)/du from the tensors of callbacks.Gjac."""
-    mesh, neq = state.mesh, state.neq
-    per = state.ops.per
-    ct = state.callbacks.Gjac(state, U).normalized(mesh.ntri, neq)
-    ops = fem.assemble_interior(mesh, fem.CoeffTensors(ct.c, ct.a, ct.b), neq)
-    J = ops["K"] + ops["Ma"] + ops["Kadv"]
+    """d(tensor_residual)/du: A from the tensors of callbacks.Gjac and the
+    boundary provider bcjac (bc when unset), less the load's derivative
+    Fload diag(fu) Ctri."""
+    cb = state.callbacks
+    ct = cb.Gjac(state, U).normalized(state.mesh.ntri, state.neq)
+    J, _ = assemble_general(state, U, ct, cb.bcjac or cb.bc)
     if np.any(ct.fu):
-        D = fem.tri_diag_operator(ct.fu, neq)
-        J = J - state.ops.Mtl @ D @ state.ops.C
-    if state.callbacks.bc is not None:
-        bcj = state.callbacks.bcjac or state.callbacks.bc
-        u_full = per.fill @ U[:state.nu]
-        bdry = fem.assemble_boundary(mesh, bcj(state, U), u_full,
-                                     U[state.nu:], neq)
-        J = J + bdry["Q"]
-    return (per.fill.T @ J @ per.fill).tocsc()
+        J = J - state.ops.Fload @ _tri_diag(state, ct.fu) @ state.ops.Ctri
+    return J.tocsc()
 
 
 def fd_columns(fun: Callable, x: np.ndarray, indices, delta: float,

@@ -141,7 +141,7 @@ def spcontini(state, extra_param_index, kerneltol=1e-2):
     mode_code = 2 if state.ptype == 2 else 1
     state.u = np.concatenate([state.u[:nb], phi, state.u[nb:]])
     state.mode = "spcont"
-    state.spdata = {"nu_base": nb, "old_primary": old_primary}
+    state.spdata = {"nu_base": nb}
     state.nq = 1
     state.ilam = [extra, old_primary]
     state.switches.spcont = mode_code

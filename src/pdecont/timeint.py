@@ -1,17 +1,20 @@
 """Linearly implicit time integration of  d_t u = -G(u).
 
-tint reassembles all operators at every step (general path); tints keeps
-the stiff operator fixed and LU-factorizes Lambda = M + dt*K once per call,
-so each step is a pair of sparse triangular solves.  The tints splitting
-comes from the problem's semilinear declaration unless the caller passes
-one.  Neither variant has error or stepsize control.
+The two integrators differ only in their step.  tint reassembles the
+general path at every step (problem.assemble_general) and solves
+(M + dt A(u^n)) u^{n+1} = M u^n + dt F(u^n) by a fresh LU.  tints keeps the
+stiff operator K fixed, LU-factorizes Lambda = M + dt K once per call and
+takes the explicit forcing from the problem's semilinear declaration unless
+the caller passes a splitting, so each step is a pair of triangular solves.
+One loop (_march) keeps u, the model time demo_config["time"], the records
+and the step failures for both.  Neither has error or stepsize control.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from . import fem, linsolve, problem
+from . import linsolve, problem
 
 
 class TimeintError(RuntimeError):
@@ -25,36 +28,14 @@ def tint(state, dt, nt, pmod=10):
     the load and boundary-source terms.  Records the residual time series
     every pmod steps and writes snapshots when an output directory is set.
     """
-    mesh, neq, per = state.mesh, state.neq, state.ops.per
-    M = state.ops.M
-    u = np.array(state.u[:state.nu], dtype=float)
-    w = state.u[state.nu:]
-    t = float(state.demo_config.get("time", 0.0))
-    _record(state, t, first=True)
-    for n in range(1, nt + 1):
+    M, w = state.ops.M, state.pars()
+
+    def step(u):
         U = np.concatenate([u, w])
-        ct = state.callbacks.G(state, U).normalized(mesh.ntri, neq)
-        ops = fem.assemble_interior(mesh, fem.CoeffTensors(ct.c, ct.a, ct.b),
-                                    neq)
-        A = ops["K"] + ops["Ma"] + ops["Kadv"]
-        F = fem.assemble_load(mesh, ct.f.T, neq)
-        if state.callbacks.bc is not None:
-            bdry = fem.assemble_boundary(mesh, state.callbacks.bc(state, U),
-                                         per.fill @ u, w, neq)
-            A = A + bdry["Q"]
-            F = F + bdry["Gb"]
-        Ar = (per.fill.T @ A @ per.fill).tocsc()
-        Fr = per.fill.T @ F
-        try:
-            u = linsolve.lss(M + dt * Ar, M @ u + dt * Fr)
-        except linsolve.SingularMatrixError as exc:
-            raise TimeintError(f"linear solve failed at step {n}") from exc
-        t += dt
-        state.u[:state.nu] = u
-        state.demo_config["time"] = t
-        if n % pmod == 0 or n == nt:
-            _record(state, t)
-    return state
+        A, F = problem.assemble_general(state, U, state.callbacks.G(state, U),
+                                        state.callbacks.bc)
+        return linsolve.lss(M + dt * A, M @ u + dt * F)
+    return _march(state, dt, nt, pmod, step)
 
 
 def tints(state, dt, nt, pmod, forcing=None, K=None, diagnostics=True):
@@ -77,28 +58,38 @@ def tints(state, dt, nt, pmod, forcing=None, K=None, diagnostics=True):
         forcing = forcing or forcing0
         K = K0 if K is None else K
     M = state.ops.M
-    Lam = (M + dt * K).tocsc()
     try:
-        lu = state.ops.cache.factorize(Lam)
+        lu = state.ops.cache.factorize((M + dt * K).tocsc())
     except linsolve.SingularMatrixError as exc:
         raise TimeintError("stiff operator factorization failed") from exc
 
+    def step(u):
+        return linsolve.solve(lu, M @ u + dt * forcing(state, u))
+    return _march(state, dt, nt, pmod, step, diagnostics)
+
+
+def _march(state, dt, nt, pmod, step, diagnostics=True):
+    """nt steps u <- step(u) from the state's u, written back into state.u
+    after each; the model time advances by dt.  Records at the start, every
+    pmod steps and at the end; a failed or non-finite solve is a
+    TimeintError."""
     u = np.array(state.u[:state.nu], dtype=float)
     t = float(state.demo_config.get("time", 0.0))
-    _record(state, t, first=True, diagnostics=diagnostics)
+    _record(state, t, diagnostics)
     for n in range(1, nt + 1):
-        u = lu.solve(M @ u + dt * forcing(state, u))
-        if not np.all(np.isfinite(u)):
-            raise TimeintError(f"non-finite solution at step {n}")
+        try:
+            u = step(u)
+        except linsolve.SingularMatrixError as exc:
+            raise TimeintError(f"step {n} failed: {exc}") from exc
         t += dt
         state.u[:state.nu] = u
         state.demo_config["time"] = t
         if n % pmod == 0 or n == nt:
-            _record(state, t, diagnostics=diagnostics)
+            _record(state, t, diagnostics)
     return state
 
 
-def _record(state, t, first=False, diagnostics=True):
+def _record(state, t, diagnostics):
     if diagnostics:
         res = float(np.linalg.norm(problem.residual(state, state.u), np.inf))
         state.timeseries.append((t, res))

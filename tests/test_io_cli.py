@@ -59,6 +59,18 @@ def test_load_point_reads_file_with_removed_switch(run_dir, tmp_path):
     st2 = io.load_point(str(old), "pt0")
     assert np.array_equal(st2.u, st.u)
     assert np.array_equal(problem.residual(st2), problem.residual(st))
+    # fold-continuation files written before spdata lost "old_primary"
+    spcont.spcontini(st, 2, kerneltol=np.inf)
+    st.file.dir = str(old)
+    doc = json.load(open(io.save_point(st, "sp0")))
+    assert doc["spdata"] == {"nu_base": st.spdata["nu_base"]}
+    doc["spdata"]["old_primary"] = 1
+    (old / "sp0.json").write_text(json.dumps(doc))
+    st3 = io.load_point(str(old), "sp0")
+    assert st3.mode == "spcont" and st3.spdata == st.spdata
+    assert st3.ilam == st.ilam
+    assert np.array_equal(st3.u, st.u)
+    assert np.array_equal(problem.residual(st3), problem.residual(st))
 
 
 def test_no_temp_files_left(run_dir):
