@@ -148,7 +148,7 @@ def unit_tangent(state, U, border, f0=None, index=False):
     if not index:
         return tau, None
     # A0 is not Gu, or Gu gave no accepted LDL^T: stability_index decides
-    if ineg is None or state.mode == "spcont" or state.nq:
+    if ineg is None or state.nq:
         ineg = point_ineg(state, U)
     return tau, ineg
 
@@ -175,10 +175,7 @@ def point_ineg(state, U):
 
 
 def _l2norm(state, U):
-    u = U[:state.nu]
-    if state.mode == "spcont":
-        from . import spcont as _spcont
-        return _spcont.base_l2norm(state, U)
+    u = U[:state.ops.per.nu_per]      # the base PDE field, in both modes
     return float(np.sqrt(abs(u @ (state.ops.M @ u))))
 
 

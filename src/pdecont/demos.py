@@ -24,10 +24,8 @@ class DemoError(ValueError):
 
 
 def _minmax_out(state, U):
-    nb = state.spdata["nu_base"] if state.mode == "spcont" else state.nu
-    u = state.ops.per.fill @ U[:nb]
-    n = state.mesh.npoints
-    return [float(u[:n].max()), float(u[:n].min())]
+    u = U[:state.ops.per.np_per]     # component 0; extending only repeats values
+    return [float(u.max()), float(u.min())]
 
 
 def _build_state(name, mesh, neq, u0, pars, parnames, callbacks, config):
@@ -43,7 +41,7 @@ def _build_state(name, mesh, neq, u0, pars, parnames, callbacks, config):
 
 def init_acfold(config=None):
     cfg = {"lx": 1.0, "ly": 0.9, "nx": 60, "ny": 54,
-           "lam": 1.0, "c": 0.25, "gam": 1.0}
+           "lam": 1.0, "c": 0.25, "gam": 1.0, "stiff": 1e3}
     cfg.update(config or {})
     mesh = build_rect_mesh(cfg["lx"], cfg["ly"], cfg["nx"], cfg["ny"])
     # products, not u**3 or u**5: NumPy's power has a fast path only for
@@ -55,7 +53,7 @@ def init_acfold(config=None):
         d=lambda w: w[1])
 
     def bc(state, U):
-        return dirichlet_bc(1, 0.0, stiff=state.controls.stiff_spring)
+        return dirichlet_bc(1, 0.0, stiff=cfg["stiff"])
 
     cb = Callbacks(semilinear=sl, bc=bc, outfu=_minmax_out,
                    outnames=("max", "min"))

@@ -1,10 +1,12 @@
-"""Fill/drop identification matrices for cylinder and torus geometries.
+"""Fill/drop identification matrices for cylinder and torus geometries, and
+the only code that maps between the full mesh space and the reduced space.
 
 Nodes on one of two identified sides are mapped onto their partners on the
 opposite side; the reduced problem keeps the bottom/left representatives.
 Operators assembled with Neumann BC on the full mesh transform as
-fill' * A * fill, vectors as fill' * F, and fill * u_reduced extends a
-reduced solution back to the full mesh.
+fill' * A * fill, vectors and matrix rows as fill' * F (columns as F * fill);
+fill * u_reduced extends a reduced solution, drop * u restricts a full one.
+Without a periodization (bcper 0) the maps skip the identity products.
 """
 
 from __future__ import annotations
@@ -102,22 +104,44 @@ def build_periodization(mesh: Mesh, neq: int, bcper: int) -> Periodization:
     return Periodization(bcper, fill, drop, neq * np_per, np_per)
 
 
+def _check(n: int, expected: int):
+    if n != expected:
+        raise PeriodicityError(f"length {n} does not match {expected}")
+
+
+def _unreduced(A):
+    """A, a sparse A as CSC without the exact zeros a product would drop."""
+    if sp.issparse(A):
+        A = A.tocsc(copy=True)
+        A.eliminate_zeros()
+    return A
+
+
 def periodize_operator(A: sp.spmatrix, per: Periodization) -> sp.csc_matrix:
-    if A.shape[1] != per.fill.shape[0]:
-        raise PeriodicityError(
-            f"operator dimension {A.shape} does not match fill {per.fill.shape}")
+    """fill' A fill as CSC: a full-mesh operator on the reduced space."""
+    _check(A.shape[1], per.fill.shape[0])
+    if not per.bcper:
+        return _unreduced(A)
     return (per.fill.T @ A @ per.fill).tocsc()
 
 
-def periodize_vector(F: np.ndarray, per: Periodization) -> np.ndarray:
-    F = np.asarray(F)
-    if F.shape[0] != per.fill.shape[0]:
-        raise PeriodicityError("vector length does not match fill matrix")
-    return per.fill.T @ F
+def periodize_vector(F, per: Periodization, axis: int = 0):
+    """fill' F: a full-mesh load vector or a sparse matrix's rows summed onto
+    the reduced space; axis=1 reduces a sparse matrix's columns, F fill."""
+    _check(F.shape[axis], per.fill.shape[0])
+    if not per.bcper:
+        return _unreduced(F)
+    R = per.fill.T @ F if axis == 0 else F @ per.fill
+    return R.tocsc() if sp.issparse(R) else R
 
 
 def extend_vector(u_per: np.ndarray, per: Periodization) -> np.ndarray:
-    u_per = np.asarray(u_per)
-    if u_per.shape[0] != per.fill.shape[1]:
-        raise PeriodicityError("vector length does not match reduced space")
-    return per.fill @ u_per
+    """fill u: a reduced nodal field on the full mesh."""
+    _check(len(u_per), per.nu_per)
+    return per.fill @ u_per if per.bcper else u_per
+
+
+def restrict_vector(u: np.ndarray, per: Periodization) -> np.ndarray:
+    """drop u: a full-mesh nodal field at the kept representatives."""
+    _check(len(u), per.fill.shape[0])
+    return per.drop @ u if per.bcper else u

@@ -6,6 +6,8 @@ import os
 
 import numpy as np
 
+from . import periodic
+
 W, H = 640, 480
 MARGIN = 60
 
@@ -105,7 +107,8 @@ def plot_solution(state, component, out):
     if not 0 <= component < state.neq:
         raise PlotError(f"component {component} out of range 0..{state.neq - 1}")
     mesh = state.mesh
-    u_full = state.ops.per.fill @ state.u[:state.nu]
+    u_full = periodic.extend_vector(state.u[:state.ops.per.nu_per],
+                                    state.ops.per)
     n = mesh.npoints
     comp = u_full[component * n:(component + 1) * n]
     tri_vals = comp[mesh.triangles].mean(axis=1)

@@ -23,9 +23,9 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 import scipy.sparse as sp
 
-from . import fem, linsolve
+from . import fem, linsolve, periodic
 from .mesh import Mesh
-from .periodic import Periodization, build_periodization
+from .periodic import Periodization
 
 
 class ProblemError(ValueError):
@@ -42,7 +42,7 @@ class Controls:
     del_: float = 1e-8
     dsmin: float = 1e-8
     dsmax: float = 0.1
-    dsinciter: int = 5          # kept at imax // 2
+    dsinciter: int = 5          # imax // 2 at the defaults; not tied to imax
     dsincfac: float = 2.0
     dlammax: float = 1.0
     lamdtol: float = 0.5
@@ -55,7 +55,6 @@ class Controls:
     lammax: float = 1e6
     xi: Optional[float] = None      # set to 1/nu at continuation start
     xiq: Optional[float] = None
-    stiff_spring: float = 1e3
 
 
 @dataclass(slots=True)
@@ -145,8 +144,8 @@ class OperatorCache:
     Kdy: Optional[sp.csc_matrix] = None
     Q: Optional[sp.csc_matrix] = None         # boundary matrix snapshot
     Gb: Optional[np.ndarray] = None
-    Fload: Optional[sp.csc_matrix] = None     # fill' * Mtl  (load from tri values)
-    Ctri: Optional[sp.csc_matrix] = None      # C * fill (reduced nodal -> tri)
+    Fload: Optional[sp.csc_matrix] = None     # load of tri values: Mtl, rows reduced
+    Ctri: Optional[sp.csc_matrix] = None      # tri means: C, columns reduced
     per: Optional[Periodization] = None
     # counts the LU factorizations of the correctors, tangents and tints
     cache: linsolve.FactorCache = field(default_factory=linsolve.FactorCache)
@@ -180,10 +179,8 @@ class ProblemState:
 
     @property
     def nu(self) -> int:
-        if self.mode == "spcont":
-            return 2 * self.spdata["nu_base"]
-        per = self.ops.per
-        return per.nu_per if per is not None else self.neq * self.mesh.npoints
+        nb = self.ops.per.nu_per        # the base PDE field, in both modes
+        return 2 * nb if self.mode == "spcont" else nb
 
     @property
     def naux(self) -> int:
@@ -214,23 +211,20 @@ class ProblemState:
 def setfemops(state: ProblemState):
     """(Re)assemble the cached operators; called at init and after bcper changes."""
     mesh, neq = state.mesh, state.neq
-    per = build_periodization(mesh, neq, state.switches.bcper)
+    per = periodic.build_periodization(mesh, neq, state.switches.bcper)
     n_full = neq * mesh.npoints
     state.ops.per = per
-    fill = per.fill
     # reduce a full-mesh unknown vector to the identified node set
-    naux = len(state.parnames)
-    if len(state.u) == n_full + naux and per.nu_per != n_full:
-        state.u = np.concatenate([per.drop @ state.u[:n_full],
+    if len(state.u) == n_full + len(state.parnames):
+        state.u = np.concatenate([periodic.restrict_vector(state.u[:n_full], per),
                                   state.u[n_full:]])
 
-    M = fem.assemble_mass(mesh, neq)
-    state.ops.M = (fill.T @ M @ fill).tocsc()
+    state.ops.M = periodic.periodize_operator(fem.assemble_mass(mesh, neq), per)
 
     sl = state.callbacks.semilinear
     ct = fem.CoeffTensors(c=1.0 if sl is None else sl.c)
     K = fem.assemble_interior(mesh, ct, neq)["K"]
-    state.ops.K = (fill.T @ K @ fill).tocsc()
+    state.ops.K = periodic.periodize_operator(K, per)
 
     for attr, bvec in (("Kdx", (1.0, 0.0)), ("Kdy", (0.0, 1.0))):
         b = np.zeros((neq, neq, 2))
@@ -238,21 +232,21 @@ def setfemops(state: ProblemState):
             b[k, k] = bvec
         adv = fem.assemble_interior(mesh, fem.CoeffTensors(b=b), neq)["Kadv"]
         # Kadv folds in the minus sign; Kdx/Kdy are the plain derivative forms
-        setattr(state.ops, attr, (-(fill.T @ adv @ fill)).tocsc())
+        setattr(state.ops, attr, -periodic.periodize_operator(adv, per))
 
-    state.ops.Fload = (fill.T @ fem.load_operator(mesh, neq)).tocsc()
-    state.ops.Ctri = (fem.interp_operator(mesh, neq) @ fill).tocsc()
+    state.ops.Fload = periodic.periodize_vector(fem.load_operator(mesh, neq), per)
+    state.ops.Ctri = periodic.periodize_vector(fem.interp_operator(mesh, neq),
+                                               per, axis=1)
 
     if state.callbacks.bc is not None:
-        u_full = fill @ state.u[:state.nu]
+        u_full = periodic.extend_vector(state.u[:state.nu], per)
         bdry = fem.assemble_boundary(mesh, state.callbacks.bc(state, state.u),
                                      u_full, state.pars(), neq)
-        state.ops.Q = (fill.T @ bdry["Q"] @ fill).tocsc()
-        state.ops.Gb = fill.T @ bdry["Gb"]
+        state.ops.Q = periodic.periodize_operator(bdry["Q"], per)
+        state.ops.Gb = periodic.periodize_vector(bdry["Gb"], per)
     else:
-        n = state.nu
-        state.ops.Q = sp.csc_matrix((n, n))
-        state.ops.Gb = np.zeros(n)
+        state.ops.Q = sp.csc_matrix((per.nu_per, per.nu_per))
+        state.ops.Gb = np.zeros(per.nu_per)
 
 
 # ---------------------------------------------------------------------------
@@ -280,23 +274,20 @@ def tensor_residual(state: ProblemState, U: np.ndarray) -> np.ndarray:
 def assemble_general(state: ProblemState, U: np.ndarray, tensors, bc):
     """The general path's reduced (A, F) at U, assembled afresh: A = K + Ma +
     Kadv + Q from the coefficient tensors and the boundary provider bc (None:
-    no boundary term), F = load(f) + Gb.  The residual is A u - F and tint
+    no boundary term), F = Fload f + Gb.  The residual is A u - F and tint
     steps with it; the Jacobian takes A from callbacks.Gjac."""
-    mesh, neq, fill = state.mesh, state.neq, state.ops.per.fill
+    mesh, neq, per = state.mesh, state.neq, state.ops.per
     ct = tensors.normalized(mesh.ntri, neq)
     ops = fem.assemble_interior(mesh, fem.CoeffTensors(ct.c, ct.a, ct.b), neq)
     A = ops["K"] + ops["Ma"] + ops["Kadv"]
-    F = fem.assemble_load(mesh, ct.f.T, neq)
+    F = state.ops.Fload @ ct.f.T.ravel()
     if bc is not None:
-        bdry = fem.assemble_boundary(mesh, bc(state, U), fill @ U[:state.nu],
-                                     U[state.nu:], neq)
+        bdry = fem.assemble_boundary(
+            mesh, bc(state, U), periodic.extend_vector(U[:state.nu], per),
+            U[state.nu:], neq)
         A = A + bdry["Q"]
-        F = F + bdry["Gb"]
-    # without a periodization fill is the identity, and the two products
-    # would take a quarter of a residual evaluation
-    if state.ops.per.bcper:
-        A, F = fill.T @ A @ fill, fill.T @ F
-    return A.tocsc(), F
+        F = F + periodic.periodize_vector(bdry["Gb"], per)
+    return periodic.periodize_operator(A, per), F
 
 
 def pde_jacobian_u(state: ProblemState, U: np.ndarray) -> sp.csc_matrix:
@@ -538,7 +529,16 @@ def init_weights(state: ProblemState):
 
 
 # ---------------------------------------------------------------------------
-# parameter switching
+# branch bookkeeping and parameter switching
+
+def restart_branch(state: ProblemState, ptype: int, tau=None):
+    """Start a new branch at the current point, with tangent tau if known."""
+    state.tau = tau
+    state.ptype = ptype
+    state.sol.ineg = -1
+    state.branch = []
+    state.file.count = state.file.bcount = state.file.fcount = 0
+
 
 def swipar(state: ProblemState, ilam_new) -> ProblemState:
     """Select new active auxiliary variables; invalidates the tangent."""

@@ -99,11 +99,6 @@ def base_pde_block(state, U):
     return Gu, state.ops.M
 
 
-def base_l2norm(state, U):
-    u, _, _ = split(state, U)
-    return float(np.sqrt(abs(u @ (state.ops.M @ u))))
-
-
 # ---------------------------------------------------------------------------
 # entry / exit
 
@@ -138,18 +133,13 @@ def spcontini(state, extra_param_index, kerneltol=1e-2):
 
     nb = state.nu
     old_primary = state.ilam[0]
-    mode_code = 2 if state.ptype == 2 else 1
     state.u = np.concatenate([state.u[:nb], phi, state.u[nb:]])
     state.mode = "spcont"
     state.spdata = {"nu_base": nb}
     state.nq = 1
     state.ilam = [extra, old_primary]
-    state.switches.spcont = mode_code
-    state.tau = None
-    state.ptype = -1
-    state.sol.ineg = -1
-    state.branch = []
-    state.file.count = state.file.bcount = state.file.fcount = 0
+    state.switches.spcont = 2 if state.ptype == 2 else 1
+    problem.restart_branch(state, ptype=-1)
     return state
 
 
@@ -166,11 +156,7 @@ def spcontexit(state, primary_param_index=None):
     state.nq = 0
     state.ilam = [primary]
     state.switches.spcont = 0
-    state.tau = None
-    state.ptype = 0
-    state.sol.ineg = -1
-    state.branch = []
-    state.file.count = state.file.bcount = state.file.fcount = 0
+    problem.restart_branch(state, ptype=0)
     return state
 
 

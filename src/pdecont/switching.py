@@ -49,7 +49,8 @@ def swibra(state, ds_new, kerneltol=1e-6):
     if state.tau is None:
         # fresh-guess entry (e.g. right after fold/branch-point exit):
         # no stored tangent, fall back to plain tangent initialization
-        _restart_branch(state, ds_new, ptype=-2)
+        state.sol.ds = float(ds_new)
+        problem.restart_branch(state, ptype=-2)
         getinitau(state)
         return state
 
@@ -80,19 +81,9 @@ def swibra(state, ds_new, kerneltol=1e-6):
     i = int(np.argmax(np.abs(z)))
     if z[i] < 0:
         z = -z
-    state.tau = z
-    _restart_branch(state, ds_new, ptype=-2)
-    return state
-
-
-def _restart_branch(state, ds_new, ptype):
-    state.ptype = ptype
     state.sol.ds = float(ds_new)
-    state.sol.ineg = -1
-    state.branch = []
-    state.file.count = 0
-    state.file.bcount = 0
-    state.file.fcount = 0
+    problem.restart_branch(state, ptype=-2, tau=z)
+    return state
 
 
 def findbif(state, nbif=1):

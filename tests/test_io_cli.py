@@ -163,6 +163,18 @@ def test_plot_constant_field_single_color(tmp_path):
     assert len(fills) <= 2     # one field color (+ possibly colorbar frame)
 
 
+def test_plot_solution_in_fold_continuation(tmp_path):
+    # the plotted field is the base PDE field, also when the kernel vector
+    # follows it in U
+    st = demos.perturb(demos.make("acfold", {"nx": 6, "ny": 5}), seed=1)
+    want = str(tmp_path / "base.svg")
+    plot.plot_solution(st, 0, want)
+    spcont.spcontini(st, 2, kerneltol=np.inf)
+    got = str(tmp_path / "spcont.svg")
+    plot.plot_solution(st, 0, got)
+    assert open(got).read() == open(want).read()
+
+
 def test_cli_tint_runs(tmp_path):
     out = str(tmp_path / "run")
     assert cli.main(["run", "schnak", "--steps", "2", "--out", out]) == 0

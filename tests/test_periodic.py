@@ -105,3 +105,65 @@ def test_drop_is_left_inverse_of_fill(nx, ny, bcper, seed):
     rng = np.random.default_rng(seed)
     v = rng.standard_normal(per.np_per)
     assert np.array_equal(per.drop @ (per.fill @ v), v)
+
+
+@pytest.mark.parametrize("bcper", [0, 1, 2, 3])
+def test_maps_equal_the_fill_drop_products(bcper):
+    # the stored operators keep the product's values and its nnz: the
+    # product drops the exact zeros of the P1 stiffness, and without a
+    # periodization the maps must drop them too
+    m = build_rect_mesh(1.0, 0.9, 6, 5)
+    per = periodic.build_periodization(m, 2, bcper)
+    fill, drop = per.fill, per.drop
+    K = fem.assemble_interior(m, fem.CoeffTensors(c=1.0), 2)["K"]
+    Mtl, C = fem.load_operator(m, 2), fem.interp_operator(m, 2)
+    assert (K.data == 0).any()
+    for got, want in ((periodic.periodize_operator(K, per),
+                       fill.T @ K @ fill),
+                      (periodic.periodize_vector(Mtl, per), fill.T @ Mtl),
+                      (periodic.periodize_vector(C, per, axis=1), C @ fill)):
+        assert got.format == "csc" and got.nnz == want.nnz
+        assert np.array_equal(got.toarray(), want.toarray())
+    rng = np.random.default_rng(bcper)
+    v, u = rng.standard_normal(fill.shape[0]), rng.standard_normal(per.nu_per)
+    assert np.array_equal(periodic.periodize_vector(v, per), fill.T @ v)
+    assert np.array_equal(periodic.extend_vector(u, per), fill @ u)
+    assert np.array_equal(periodic.restrict_vector(v, per), drop @ v)
+
+
+class _NoProduct:
+    """Stands in for fill or drop; any product with it fails."""
+    __array_ufunc__ = None      # ndarray @ self goes to __rmatmul__
+
+    def __init__(self, shape):
+        self.shape = shape
+
+    @property
+    def T(self):
+        return _NoProduct(self.shape[::-1])
+
+    def _fail(self, *args, **kwargs):
+        raise AssertionError("fill/drop product without a periodization")
+
+    __matmul__ = __rmatmul__ = __mul__ = __rmul__ = __array__ = _fail
+
+
+def test_no_fill_or_drop_product_without_periodization(monkeypatch,
+                                                       tmp_path):
+    from pdecont import demos, plot, problem, timeint
+    make_per = periodic.Periodization
+
+    def unreduced(bcper, fill, drop, nu_per, np_per):
+        if not bcper:
+            fill, drop = _NoProduct(fill.shape), _NoProduct(drop.shape)
+        return make_per(bcper, fill, drop, nu_per, np_per)
+    monkeypatch.setattr(periodic, "Periodization", unreduced)
+    for name in ("acfold", "nlbc"):
+        st = demos.perturb(demos.make(name, {"nx": 8, "ny": 8}), seed=1)
+        assert isinstance(st.ops.per.fill, _NoProduct)
+        assert np.all(np.isfinite(problem.residual(st)))
+        problem.tensor_residual(st, st.u)
+        problem.tensor_jacobian_u(st, st.u)
+        timeint.tint(st, 0.01, 2, pmod=1)
+        assert len(st.callbacks.outfu(st, st.u)) == 2
+        plot.plot_solution(st, 0, str(tmp_path / f"{name}.svg"))
