@@ -41,7 +41,7 @@ def _build_state(name, mesh, neq, u0, pars, parnames, callbacks, config):
 
 def init_acfold(config=None):
     cfg = {"lx": 1.0, "ly": 0.9, "nx": 60, "ny": 54,
-           "lam": 1.0, "c": 0.25, "gam": 1.0, "stiff": 1e3}
+           "lam": 1.0, "c": 0.25, "gam": 1.0}
     cfg.update(config or {})
     mesh = build_rect_mesh(cfg["lx"], cfg["ly"], cfg["nx"], cfg["ny"])
     # products, not u**3 or u**5: NumPy's power has a fast path only for
@@ -52,11 +52,9 @@ def init_acfold(config=None):
         fuu=lambda u, p, w: u * (6 - 20 * w[2] * u * u) * p,
         d=lambda w: w[1])
 
-    def bc(state, U):
-        return dirichlet_bc(1, 0.0, stiff=cfg["stiff"])
-
-    cb = Callbacks(semilinear=sl, bc=bc, outfu=_minmax_out,
-                   outnames=("max", "min"))
+    dirichlet = dirichlet_bc(1, 0.0)
+    cb = Callbacks(semilinear=sl, bc=lambda state, U: dirichlet,
+                   outfu=_minmax_out, outnames=("max", "min"))
     u0 = np.zeros(mesh.npoints)
     state = _build_state("acfold", mesh, 1, u0,
                          [cfg["lam"], cfg["c"], cfg["gam"]],

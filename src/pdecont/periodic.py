@@ -4,7 +4,7 @@ the only code that maps between the full mesh space and the reduced space.
 Nodes on one of two identified sides are mapped onto their partners on the
 opposite side; the reduced problem keeps the bottom/left representatives.
 Operators assembled with Neumann BC on the full mesh transform as
-fill' * A * fill, vectors and matrix rows as fill' * F (columns as F * fill);
+fill' * A * fill, vectors and matrix rows as fill' * F;
 fill * u_reduced extends a reduced solution, drop * u restricts a full one.
 Without a periodization (bcper 0) the maps skip the identity products.
 """
@@ -109,29 +109,19 @@ def _check(n: int, expected: int):
         raise PeriodicityError(f"length {n} does not match {expected}")
 
 
-def _unreduced(A):
-    """A, a sparse A as CSC without the exact zeros a product would drop."""
-    if sp.issparse(A):
-        A = A.tocsc(copy=True)
-        A.eliminate_zeros()
-    return A
-
-
 def periodize_operator(A: sp.spmatrix, per: Periodization) -> sp.csc_matrix:
     """fill' A fill as CSC: a full-mesh operator on the reduced space."""
     _check(A.shape[1], per.fill.shape[0])
     if not per.bcper:
-        return _unreduced(A)
+        return A.tocsc()
     return (per.fill.T @ A @ per.fill).tocsc()
 
 
-def periodize_vector(F, per: Periodization, axis: int = 0):
-    """fill' F: a full-mesh load vector or a sparse matrix's rows summed onto
-    the reduced space; axis=1 reduces a sparse matrix's columns, F fill."""
-    _check(F.shape[axis], per.fill.shape[0])
-    if not per.bcper:
-        return _unreduced(F)
-    R = per.fill.T @ F if axis == 0 else F @ per.fill
+def periodize_vector(F, per: Periodization):
+    """fill' F: a full-mesh load vector, or the rows of a sparse matrix (as
+    CSC), summed onto the reduced space."""
+    _check(F.shape[0], per.fill.shape[0])
+    R = per.fill.T @ F if per.bcper else F
     return R.tocsc() if sp.issparse(R) else R
 
 

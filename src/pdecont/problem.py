@@ -235,8 +235,9 @@ def setfemops(state: ProblemState):
         setattr(state.ops, attr, -periodic.periodize_operator(adv, per))
 
     state.ops.Fload = periodic.periodize_vector(fem.load_operator(mesh, neq), per)
-    state.ops.Ctri = periodic.periodize_vector(fem.interp_operator(mesh, neq),
-                                               per, axis=1)
+    # C fill, as (fill' C')'
+    C = fem.interp_operator(mesh, neq)
+    state.ops.Ctri = periodic.periodize_vector(C.T, per).T.tocsc()
 
     if state.callbacks.bc is not None:
         u_full = periodic.extend_vector(state.u[:state.nu], per)
@@ -247,6 +248,11 @@ def setfemops(state: ProblemState):
     else:
         state.ops.Q = sp.csc_matrix((per.nu_per, per.nu_per))
         state.ops.Gb = np.zeros(per.nu_per)
+    # a fill/drop product drops exact zeros, which the P1 stiffness has many
+    # of; drop them without a periodization too
+    ops = state.ops
+    for A in (ops.M, ops.K, ops.Kdx, ops.Kdy, ops.Fload, ops.Ctri, ops.Q):
+        A.eliminate_zeros()
 
 
 # ---------------------------------------------------------------------------

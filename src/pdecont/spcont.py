@@ -34,7 +34,7 @@ def base_view(state):
 
 def split(state, U):
     """(u, phi, w) slices of an extended unknown vector."""
-    nb = state.spdata["nu_base"]
+    nb = state.ops.per.nu_per
     return U[:nb], U[nb:2 * nb], U[2 * nb:]
 
 
@@ -148,7 +148,7 @@ def spcontexit(state, primary_param_index=None):
     single primary parameter, invalidate the tangent."""
     if state.mode != "spcont":
         raise SpcontError("state is not in fold/branch-point continuation")
-    nb = state.spdata["nu_base"]
+    nb = state.ops.per.nu_per
     primary = int(primary_param_index) if primary_param_index else state.ilam[1]
     state.u = np.concatenate([state.u[:nb], state.u[2 * nb:]])
     state.mode = "normal"

@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 
@@ -105,29 +103,3 @@ def test_config_overrides_apply():
     assert st.getaux("lambda") == 0.1
     assert st.getaux("c") == 0.2
     assert st.demo_config["nx"] == 6
-
-
-def test_acfold_stiffness_is_a_config_value(tmp_path):
-    # the Dirichlet stiffness is fixed when the demo is made, so the cached
-    # boundary operator and the general path that reassembles it agree
-    from pdecont import io
-    base = make("acfold", {"nx": 14, "ny": 12})
-    st = make("acfold", {"nx": 14, "ny": 12, "stiff": 10.0})
-    assert abs(st.ops.Q - 1e-2 * base.ops.Q).max() \
-        <= 1e-14 * abs(base.ops.Q).max()
-    demos.perturb(st, seed=2)
-    r1 = problem.pde_residual(st, st.u)
-    r2 = problem.tensor_residual(st, st.u)
-    assert np.abs(r1 - r2).max() <= 1e-12 * max(1.0, np.abs(r1).max())
-    J1 = problem.pde_jacobian_u(st, st.u)
-    J2 = problem.tensor_jacobian_u(st, st.u)
-    assert abs(J1 - J2).max() <= 1e-12 * max(1.0, abs(J1).max())
-    # a point file written before the key existed takes the default
-    base.file.dir = str(tmp_path)
-    path = io.save_point(base, "pt0")
-    doc = json.load(open(path))
-    del doc["config"]["stiff"]
-    json.dump(doc, open(path, "w"))
-    old = io.load_point(str(tmp_path), "pt0")
-    assert old.demo_config["stiff"] == 1e3
-    assert abs(old.ops.Q - base.ops.Q).max() == 0.0
