@@ -1,14 +1,19 @@
 """Point-file persistence and branch CSV export.
 
 Point files are self-describing JSON: a header (format version, demo name
-and config, mesh/problem bookkeeping) plus the payload arrays u and tau at
-full double precision.  Operator caches and fill/drop matrices are never
+and config, mesh/problem bookkeeping, the branch so far) plus the payload
+arrays u, tau and uold.  Format 2, which save_point writes, stores each
+payload as the base64 string of its little-endian float64 bytes ('<f8',
+whatever the host's byte order), so a point round-trips bit for bit; an
+absent tau or uold is null.  Format 1 files, whose payloads are JSON lists
+of floats, still load.  Operator caches and fill/drop matrices are never
 serialized; the loader rebuilds them through the demo registry, so a loaded
 point evaluates identically to the saved one.
 """
 
 from __future__ import annotations
 
+import base64
 import json
 import os
 
@@ -16,7 +21,8 @@ import numpy as np
 
 from . import problem
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
+PAYLOAD_DTYPE = np.dtype("<f8")
 
 
 class IOError_(RuntimeError):
@@ -32,8 +38,34 @@ def _json_config(cfg):
     return out
 
 
+def _encode(a):
+    if a is None:
+        return None
+    return base64.b64encode(np.asarray(a, dtype=PAYLOAD_DTYPE).tobytes()
+                            ).decode("ascii")
+
+
+def _decode_v1(v):
+    return np.array(v, dtype=float)
+
+
+def _decode_v2(v):
+    try:
+        raw = base64.b64decode(v, validate=True)
+    except (TypeError, ValueError) as exc:
+        raise IOError_(f"bad base64 payload: {exc}") from exc
+    if len(raw) % PAYLOAD_DTYPE.itemsize:
+        raise IOError_(f"payload of {len(raw)} bytes is not a float64 array")
+    # astype copies: frombuffer alone is a read-only view of the bytes
+    return np.frombuffer(raw, dtype=PAYLOAD_DTYPE).astype(float)
+
+
+_DECODERS = {1: _decode_v1, 2: _decode_v2}
+
+
 def save_point(state, name):
-    """Write <dir>/<name>.json atomically (write-temp-rename)."""
+    """Write <dir>/<name>.json atomically (write-temp-rename), in one write
+    of one json.dumps."""
     if not state.file.dir:
         raise IOError_("no output directory set")
     os.makedirs(state.file.dir, exist_ok=True)
@@ -58,15 +90,15 @@ def save_point(state, name):
         "ineg": int(state.sol.ineg),
         "time": float(state.demo_config.get("time", 0.0)),
         "err_column": "unset (no error estimator)",
-        "u": state.u.tolist(),
-        "tau": None if state.tau is None else state.tau.tolist(),
-        "uold": None if state.uold is None else state.uold.tolist(),
+        "u": _encode(state.u),
+        "tau": _encode(state.tau),
+        "uold": _encode(state.uold),
         "branch": [rec.__dict__ for rec in state.branch],
     }
     path = os.path.join(state.file.dir, f"{name}.json")
     tmp = path + ".tmp"
-    with open(tmp, "w") as fh:
-        json.dump(doc, fh)
+    with open(tmp, "wb") as fh:
+        fh.write(json.dumps(doc).encode())
     os.replace(tmp, path)
     return path
 
@@ -83,7 +115,8 @@ def load_point(directory, name):
             doc = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise IOError_(f"cannot read point file {path}: {exc}") from exc
-    if doc.get("format") != FORMAT_VERSION:
+    decode = _DECODERS.get(doc.get("format"))
+    if decode is None:
         raise IOError_(f"unsupported point-file format {doc.get('format')!r}")
 
     state = demos.make(doc["demo"], doc["config"])
@@ -107,14 +140,12 @@ def load_point(directory, name):
     state.usrlam = [float(v) for v in doc["usrlam"]]
     state.sol.ds = float(doc["ds"])
     state.sol.ineg = int(doc["ineg"])
-    u = np.asarray(doc["u"], dtype=float)
+    u = decode(doc["u"])
     if len(u) != state.nu + len(doc["parnames"]):
         raise IOError_("unknown-vector length does not match the problem")
     state.u = u
-    state.tau = None if doc["tau"] is None else np.asarray(doc["tau"],
-                                                           dtype=float)
-    state.uold = None if doc["uold"] is None else np.asarray(doc["uold"],
-                                                             dtype=float)
+    state.tau, state.uold = (None if doc[k] is None else decode(doc[k])
+                             for k in ("tau", "uold"))
     state.branch = [BranchRecord(**rec) for rec in doc["branch"]]
     state.file.dir = directory
     return state

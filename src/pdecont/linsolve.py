@@ -7,6 +7,7 @@ spectrum."""
 
 from __future__ import annotations
 
+import gc
 import warnings
 
 import numpy as np
@@ -180,20 +181,39 @@ def spectrum_near_zero(Gu: sp.spmatrix, M: sp.spmatrix, neig: int = 50) -> dict:
         order = np.argsort(np.abs(mu))[:min(neig, n)]
         mu, V = mu[order], V[:, order]
     else:
-        v0 = np.linspace(1.0, 2.0, n)   # deterministic start vector
-        for shift in (0.0, -1e-6 * _infnorm(Gu)):
-            try:
-                mu, V = spla.eigs(Gu.tocsc(), k=k, M=M.tocsc(), sigma=shift,
-                                  which="LM", v0=v0)
-                break
-            except RuntimeError:
-                continue
-        else:
-            raise SingularMatrixError("shift-invert eigensolver failed")
+        mu, V = _shift_invert_eigs(Gu, M, k)
         order = np.argsort(np.abs(mu))
         mu, V = mu[order], V[:, order]
     ineg = int(np.sum(mu.real < 0))
     return {"eigenvalues": mu, "eigenvectors": V, "ineg": ineg}
+
+
+def _shift_invert_eigs(Gu: sp.spmatrix, M: sp.spmatrix, k: int) -> tuple:
+    """scipy's eigs at shift 0, or at a small negative shift when the LU at
+    0 fails; the ARPACK objects it leaves behind are freed before return.
+
+    With an M, scipy's _UnsymmetricArpackParams (scipy 1.17) sets
+    self.OP = lambda x: self.OPa(M_matvec(x)), a reference cycle that keeps
+    the object, its SpLuInv LU of Gu and the Arnoldi workspace alive until
+    the cyclic collector runs.  With the automatic collector held off during
+    eigs the cycle is still in the youngest generation when eigs returns,
+    and collecting that generation (under a millisecond) frees it.
+    """
+    v0 = np.linspace(1.0, 2.0, Gu.shape[0])   # deterministic start vector
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for shift in (0.0, -1e-6 * _infnorm(Gu)):
+            try:
+                return spla.eigs(Gu.tocsc(), k=k, M=M.tocsc(), sigma=shift,
+                                 which="LM", v0=v0)
+            except RuntimeError:
+                continue
+        raise SingularMatrixError("shift-invert eigensolver failed")
+    finally:
+        if enabled:
+            gc.enable()
+        gc.collect(0)
 
 
 def _infnorm(A: sp.spmatrix) -> float:

@@ -209,15 +209,14 @@ class ProblemState:
 # operator setup
 
 def setfemops(state: ProblemState):
-    """(Re)assemble the cached operators; called at init and after bcper changes."""
+    """(Re)assemble the cached operators; called at init and after bcper
+    changes, which carry a u reduced by the previous periodization over."""
     mesh, neq = state.mesh, state.neq
     per = periodic.build_periodization(mesh, neq, state.switches.bcper)
-    n_full = neq * mesh.npoints
+    state.u = _reperiodize(state, per)
     state.ops.per = per
-    # reduce a full-mesh unknown vector to the identified node set
-    if len(state.u) == n_full + len(state.parnames):
-        state.u = np.concatenate([periodic.restrict_vector(state.u[:n_full], per),
-                                  state.u[n_full:]])
+    if state.spdata:
+        state.spdata["nu_base"] = per.nu_per
 
     state.ops.M = periodic.periodize_operator(fem.assemble_mass(mesh, neq), per)
 
@@ -253,6 +252,27 @@ def setfemops(state: ProblemState):
     ops = state.ops
     for A in (ops.M, ops.K, ops.Kdx, ops.Kdy, ops.Fload, ops.Ctri, ops.Q):
         A.eliminate_zeros()
+
+
+def _reperiodize(state: ProblemState, per: Periodization) -> np.ndarray:
+    """state.u with its nodal fields (two in fold continuation) reduced by
+    per: a full-mesh field is restricted, one reduced by the previous
+    periodization state.ops.per is extended through it first."""
+    naux = len(state.parnames)
+    nfields = 2 if state.mode == "spcont" else 1
+    nodal = state.u[:len(state.u) - naux]
+    old = state.ops.per
+    if len(nodal) == nfields * per.fill.shape[0]:
+        fields = np.split(nodal, nfields)
+    elif old is not None and len(nodal) == nfields * old.nu_per:
+        fields = [periodic.extend_vector(f, old)
+                  for f in np.split(nodal, nfields)]
+    else:
+        raise periodic.PeriodicityError(
+            f"unknown vector of length {len(state.u)} is neither full-mesh "
+            "nor reduced by the previous periodization")
+    return np.concatenate([periodic.restrict_vector(f, per) for f in fields]
+                          + [state.u[len(nodal):]])
 
 
 # ---------------------------------------------------------------------------

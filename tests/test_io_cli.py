@@ -1,11 +1,21 @@
+import base64
 import json
 import os
+import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as hst
 
 from pdecont import cli, demos, io, plot, problem, spcont
 from pdecont.continuation import cont
+
+V1_DIR = Path(__file__).parent / "data" / "v1_bratu"
+
+
+def _read_json(path):
+    return json.loads(Path(path).read_text())
 
 
 @pytest.fixture
@@ -35,23 +45,23 @@ def test_save_load_roundtrip_bit_exact(run_dir):
 
 def test_saved_file_is_self_describing(run_dir):
     d, st = run_dir
-    doc = json.load(open(os.path.join(d, f"pt{st.file.count}.json")))
+    doc = _read_json(os.path.join(d, f"pt{st.file.count}.json"))
     assert doc["demo"] == "bratu"
     assert doc["config"]["nx"] == 10
     assert doc["format"] == io.FORMAT_VERSION
-    assert len(doc["u"]) == len(st.u)
+    assert len(np.frombuffer(base64.b64decode(doc["u"]), "<f8")) == len(st.u)
 
 
 def test_point_file_has_no_removed_switch(run_dir):
     d, st = run_dir
-    doc = json.load(open(os.path.join(d, f"pt{st.file.count}.json")))
+    doc = _read_json(os.path.join(d, f"pt{st.file.count}.json"))
     assert "sfem" not in doc
 
 
 def test_load_point_reads_file_with_removed_switch(run_dir, tmp_path):
     # files written before the path switch was removed carry "sfem"
     d, st = run_dir
-    doc = json.load(open(os.path.join(d, f"pt{st.file.count}.json")))
+    doc = _read_json(os.path.join(d, f"pt{st.file.count}.json"))
     doc["sfem"] = 1
     old = tmp_path / "old"
     old.mkdir()
@@ -62,7 +72,7 @@ def test_load_point_reads_file_with_removed_switch(run_dir, tmp_path):
     # fold-continuation files written before spdata lost "old_primary"
     spcont.spcontini(st, 2, kerneltol=np.inf)
     st.file.dir = str(old)
-    doc = json.load(open(io.save_point(st, "sp0")))
+    doc = _read_json(io.save_point(st, "sp0"))
     assert doc["spdata"] == {"nu_base": st.spdata["nu_base"]}
     doc["spdata"]["old_primary"] = 1
     (old / "sp0.json").write_text(json.dumps(doc))
@@ -82,6 +92,108 @@ def test_load_missing_point_raises(run_dir):
     d, _ = run_dir
     with pytest.raises(io.IOError_):
         io.load_point(d, "pt999")
+
+
+PAYLOAD = ("u", "tau", "uold")
+
+
+def _bits(a):
+    return np.asarray(a, dtype=float).view(np.uint64)
+
+
+def test_v1_point_file_loads_bit_exactly(tmp_path):
+    # pt3.json was written by format 1 (JSON lists): bratu 6x6, cont(3)
+    doc = _read_json(V1_DIR / "pt3.json")
+    assert doc["format"] == 1
+    st = io.load_point(str(V1_DIR), "pt3")
+    for key in PAYLOAD:
+        assert np.array_equal(_bits(getattr(st, key)), _bits(doc[key]))
+    assert st.file.count == 3 and len(st.branch) == 4
+    assert st.branch[-1].l2norm == doc["branch"][-1]["l2norm"]
+    # a converged point, rewritten in the current format without a change
+    assert np.abs(problem.residual(st)).max() < 1e-8
+    st.file.dir = str(tmp_path)
+    io.save_point(st, "pt3")
+    assert _read_json(tmp_path / "pt3.json")["format"] == io.FORMAT_VERSION
+    st2 = io.load_point(str(tmp_path), "pt3")
+    for key in PAYLOAD:
+        assert np.array_equal(_bits(getattr(st2, key)), _bits(doc[key]))
+
+
+_SPECIAL = [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072009e-308, -1e-310,
+            1e308, -1e308, 1.7976931348623157e308, np.inf, -np.inf]
+_FLOATS = hst.one_of(hst.sampled_from(_SPECIAL),
+                     hst.floats(allow_nan=True, allow_infinity=True))
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=hst.data())
+def test_payload_round_trip_is_bitwise(data, tmp_path_factory):
+    st = demos.make("bratu", {"nx": 4, "ny": 4})
+    for key, n in (("u", len(st.u)), ("tau", st.nu + st.nq + 1),
+                   ("uold", len(st.u))):
+        vals = data.draw(hst.lists(_FLOATS, min_size=n, max_size=n), key)
+        setattr(st, key, np.array(vals, dtype=float))
+    st.file.dir = str(tmp_path_factory.mktemp("rt"))
+    io.save_point(st, "pt0")
+    st2 = io.load_point(st.file.dir, "pt0")
+    for key in PAYLOAD:
+        assert np.array_equal(_bits(getattr(st2, key)),
+                              _bits(getattr(st, key)))
+
+
+def test_payload_uses_little_endian_float64(tmp_path):
+    st = demos.make("bratu", {"nx": 4, "ny": 4})
+    st.u[:3] = [1.0, -0.0, 5e-324]
+    st.file.dir = str(tmp_path)
+    doc = _read_json(io.save_point(st, "pt0"))
+    assert base64.b64decode(doc["u"])[:24] == struct.pack(
+        "<3d", 1.0, -0.0, 5e-324)
+    assert doc["tau"] is None and doc["uold"] is None
+    assert io.load_point(str(tmp_path), "pt0").tau is None
+
+
+def _b64(raw):
+    return base64.b64encode(raw).decode("ascii")
+
+
+@pytest.mark.parametrize("key, payload", [
+    ("u", "not base64!"),
+    ("u", _b64(b"\0" * 7)),                         # not whole float64s
+    ("u", _b64(np.zeros(5).tobytes())),             # wrong unknown count
+    ("u", [0.0, 1.0]),                              # a list in format 2
+    ("tau", "AAAA=A=="),                            # bad padding
+    ("uold", _b64(b"\0" * 12)),
+])
+def test_bad_payload_raises(run_dir, tmp_path, key, payload):
+    d, st = run_dir
+    doc = _read_json(os.path.join(d, f"pt{st.file.count}.json"))
+    doc[key] = payload
+    (tmp_path / "bad.json").write_text(json.dumps(doc))
+    with pytest.raises(io.IOError_):
+        io.load_point(str(tmp_path), "bad")
+
+
+def test_unknown_format_raises(run_dir, tmp_path):
+    d, st = run_dir
+    doc = _read_json(os.path.join(d, f"pt{st.file.count}.json"))
+    for fmt in (0, 3, None):
+        doc["format"] = fmt
+        (tmp_path / "bad.json").write_text(json.dumps(doc))
+        with pytest.raises(io.IOError_, match="format"):
+            io.load_point(str(tmp_path), "bad")
+
+
+@pytest.mark.parametrize("source", ["v1", "v2"])
+def test_loaded_arrays_are_writable(run_dir, source):
+    d, st = run_dir
+    directory, name = ((str(V1_DIR), "pt3") if source == "v1"
+                       else (d, f"pt{st.file.count}"))
+    st2 = io.load_point(directory, name)
+    for key in PAYLOAD:
+        a = getattr(st2, key)
+        assert a.flags.writeable and a.flags.owndata
+        a[0] += 1.0
 
 
 def test_load_periodic_point_restores_reduction(tmp_path):
@@ -146,10 +258,10 @@ def test_cli_plot_branch_and_solution(tmp_path):
                      "--out", out]) == 0
     svg1 = str(tmp_path / "branch.svg")
     assert cli.main(["plot", "branch", out, "--out", svg1]) == 0
-    assert open(svg1).read().startswith("<svg")
+    assert Path(svg1).read_text().startswith("<svg")
     svg2 = str(tmp_path / "sol.svg")
     assert cli.main(["plot", "sol", out, "pt1", "--out", svg2]) == 0
-    assert "<polygon" in open(svg2).read()
+    assert "<polygon" in Path(svg2).read_text()
 
 
 def test_plot_constant_field_single_color(tmp_path):
@@ -157,7 +269,7 @@ def test_plot_constant_field_single_color(tmp_path):
     st.u[:st.nu] = 0.7
     svg = str(tmp_path / "c.svg")
     plot.plot_solution(st, 0, svg)
-    text = open(svg).read()
+    text = Path(svg).read_text()
     fills = {seg.split('"')[0] for seg in text.split('fill="')[1:]}
     fills = {f for f in fills if f.startswith("#")}
     assert len(fills) <= 2     # one field color (+ possibly colorbar frame)
@@ -172,7 +284,7 @@ def test_plot_solution_in_fold_continuation(tmp_path):
     spcont.spcontini(st, 2, kerneltol=np.inf)
     got = str(tmp_path / "spcont.svg")
     plot.plot_solution(st, 0, got)
-    assert open(got).read() == open(want).read()
+    assert Path(got).read_text() == Path(want).read_text()
 
 
 def test_cli_tint_runs(tmp_path):

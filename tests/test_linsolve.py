@@ -1,3 +1,5 @@
+import gc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -104,6 +106,30 @@ def test_spectrum_dense_vs_arnoldi_agree():
     dense = la.eigh(A.toarray(), M.toarray(), eigvals_only=True)
     dense = dense[np.argsort(np.abs(dense))][:8]
     assert np.allclose(np.sort(arnoldi.real), np.sort(dense), atol=1e-8)
+
+
+def _arpack_params():
+    from scipy.sparse.linalg._eigen import arpack
+    return [o for o in gc.get_objects()
+            if isinstance(o, arpack._UnsymmetricArpackParams)]
+
+
+@pytest.mark.parametrize("name, config, neig", [
+    ("schnak", {}, 50),                            # nonsymmetric Gu
+    ("acfold", {"nx": 60, "ny": 54}, 10),
+    ("acfold", {"nx": 60, "ny": 54}, 50)],
+    ids=["schnak", "acfold-neig10", "acfold-neig50"])
+def test_spectrum_frees_the_arpack_cycle(name, config, neig):
+    # scipy's shift-invert eigs with an M leaves its ARPACK object, holding
+    # an LU of Gu, in a reference cycle; spectrum_near_zero frees it
+    st = demos.perturb(demos.make(name, config), seed=1)
+    Gu = problem.pde_jacobian_u(st, st.u)
+    gc.collect()
+    assert not _arpack_params()
+    out = linsolve.spectrum_near_zero(Gu, st.ops.M, neig)
+    assert len(out["eigenvalues"]) == neig
+    assert not _arpack_params()
+    assert gc.isenabled()
 
 
 def test_factorize_leaves_its_argument_alone():

@@ -153,6 +153,54 @@ def test_cached_operators_are_the_fill_drop_products(name, config):
         assert A.format == "csc" and np.all(A.data != 0)
 
 
+def test_setfemops_maps_a_reduced_u_to_a_new_periodization():
+    # schnak bcper 1 -> 2 -> 0: the reduced u goes through the old
+    # periodization's fill and the new one's drop, and the state evaluates
+    # like one made with the new bcper
+    from pdecont import demos, problem
+    st = demos.make("schnak", {"bcper": 1})
+    rng = np.random.default_rng(0)
+    noise = 0.1 * rng.standard_normal(st.nu)
+    st.u[:st.nu] += noise
+    full = periodic.extend_vector(st.u[:st.nu], st.ops.per)
+    for bcper in (2, 0):
+        st.switches.bcper = bcper
+        problem.setfemops(st)
+        fresh = demos.make("schnak", {"bcper": bcper})
+        assert st.nu == fresh.nu and len(st.u) == len(fresh.u)
+        want = periodic.restrict_vector(full, fresh.ops.per)
+        assert np.array_equal(st.u[:st.nu], want)
+        fresh.u[:fresh.nu] = want
+        assert np.array_equal(st.u, fresh.u)
+        assert np.array_equal(problem.residual(st), problem.residual(fresh))
+        full = periodic.extend_vector(want, fresh.ops.per)
+
+
+def test_setfemops_maps_both_fields_in_fold_continuation():
+    from pdecont import demos, problem, spcont
+    st = demos.perturb(demos.make("schnak", {"bcper": 1}), seed=1)
+    spcont.spcontini(st, 2, kerneltol=np.inf)
+    old = st.ops.per
+    fields = [periodic.extend_vector(f, old) for f in spcont.split(st, st.u)[:2]]
+    aux = st.u[st.nu:].copy()
+    st.switches.bcper = 2
+    problem.setfemops(st)
+    new = st.ops.per
+    assert st.nu == 2 * new.nu_per == 2 * st.spdata["nu_base"]
+    for got, full in zip(spcont.split(st, st.u)[:2], fields):
+        assert np.array_equal(got, periodic.restrict_vector(full, new))
+    assert np.array_equal(st.u[st.nu:], aux)
+
+
+def test_setfemops_rejects_a_u_of_another_length():
+    from pdecont import demos, problem
+    st = demos.make("schnak", {"bcper": 1})
+    st.u = np.append(st.u, 0.0)
+    st.switches.bcper = 2
+    with pytest.raises(periodic.PeriodicityError):
+        problem.setfemops(st)
+
+
 class _NoProduct:
     """Stands in for fill or drop; any product with it fails."""
     __array_ufunc__ = None      # ndarray @ self goes to __rmatmul__
