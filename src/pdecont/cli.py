@@ -1,5 +1,10 @@
 """Command-line surface: run/findbif/swibra/swipar/spcont/spcontexit,
-time integration, plotting and consistency checks."""
+time integration, plotting and consistency checks.
+
+A command that continues a branch writes its outputs even when
+continuation warns of a failure (a corrector failure inside a localization,
+a missed user target, a stop on ds < dsmin); it then names each failed
+point on stderr and exits with status 1."""
 
 from __future__ import annotations
 
@@ -31,6 +36,15 @@ def _finish_run(state, out, steps):
     print(f"{state.name}: {len(state.branch)} branch points, "
           f"{state.file.bcount} bifurcations, {state.file.fcount} folds "
           f"-> {out}")
+    return _failures(state)
+
+
+def _failures(state):
+    """Exit status of a run whose outputs are written: 1, with each
+    failure continuation warned of on stderr, else 0."""
+    for failure in state.sol.failures:
+        print(f"failed: {failure}", file=sys.stderr)
+    return 1 if state.sol.failures else 0
 
 
 def cmd_run(args):
@@ -40,8 +54,8 @@ def cmd_run(args):
         state.sol.ds = args.ds
     if args.usrlam:
         state.usrlam = [float(v) for v in args.usrlam.split(",")]
-    _finish_run(state, args.out or os.path.join(_out_root(), args.demo),
-                args.steps)
+    return _finish_run(state, args.out or os.path.join(_out_root(), args.demo),
+                       args.steps)
 
 
 def cmd_findbif(args):
@@ -53,12 +67,13 @@ def cmd_findbif(args):
     switching.findbif(state, args.nbif)
     io.export_branch(state, os.path.join(state.file.dir, "branch.csv"))
     print(f"{state.name}: located {state.file.bcount} bifurcation point(s)")
+    return _failures(state)
 
 
 def cmd_swibra(args):
     state = io.load_point(args.dir, args.point)
     switching.swibra(state, args.ds)
-    _finish_run(state, args.out, args.steps)
+    return _finish_run(state, args.out, args.steps)
 
 
 def cmd_swipar(args):
@@ -66,7 +81,7 @@ def cmd_swipar(args):
     problem.swipar(state, [int(i) for i in args.ilam.split(",")])
     if args.ds is not None:
         state.sol.ds = args.ds
-    _finish_run(state, args.out, args.steps)
+    return _finish_run(state, args.out, args.steps)
 
 
 def cmd_spcont(args):
@@ -74,7 +89,7 @@ def cmd_spcont(args):
     spcont.spcontini(state, args.extra)
     if args.ds is not None:
         state.sol.ds = args.ds
-    _finish_run(state, args.out, args.steps)
+    return _finish_run(state, args.out, args.steps)
 
 
 def cmd_spcontexit(args):
@@ -87,11 +102,10 @@ def cmd_spcontexit(args):
     if args.ds is not None:
         state.sol.ds = args.ds
     if args.steps:
-        _finish_run(state, args.out, args.steps)
-    else:
-        state.file.dir = args.out
-        io.save_point(state, "pt0")
-        print(f"exited to normal continuation -> {args.out}/pt0")
+        return _finish_run(state, args.out, args.steps)
+    state.file.dir = args.out
+    io.save_point(state, "pt0")
+    print(f"exited to normal continuation -> {args.out}/pt0")
 
 
 def cmd_tint(args):
@@ -223,13 +237,13 @@ def main(argv=None):
             header, _ = io.read_branch_csv(
                 os.path.join(args.inputs[0], "branch.csv"))
             args.x = header[2]       # first active parameter column
-        args.func(args)
+        status = args.func(args)
     except (demos.DemoError, io.IOError_, plot.PlotError,
             continuation.ContinuationError, switching.SwitchingError,
             spcont.SpcontError, timeint.TimeintError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    return 0
+    return status or 0
 
 
 if __name__ == "__main__":

@@ -1,12 +1,21 @@
 """Predictor-corrector continuation with stepsize control, automatic
-parametrization switching, detection and bisection localization of
-bifurcation and fold points, and user-target parameter output.
+parametrization switching, detection and localization of bifurcation and
+fold points, and user-target parameter output.
 
 Both correctors are one Newton loop on the bordered system (G, q,
 <border, y - y_base> - ds) = 0: border e_alpha and ds = 0 (natural), or
 w*tau (arclength).  The tangent at a point comes from one factorization of
 the square block d(G, q)/d(u, wtilde) by block elimination; where that
 block is Gu, the same factorization gives the stability index.
+
+A change of the stability index (bifurcation) or of the sign of the
+tangent's parameter component (fold) between two points is localized at
+the root of a smooth test function by regula falsi in arclength; the
+branch-point test function comes from the same factorization.  Localizing
+falls back to halving the bracket where that test function does not serve.
+A failure the run survives (a corrector failure inside a localization, a
+missed user target, a stop on ds < dsmin) is a RuntimeWarning naming the
+point, and is listed in state.sol.failures.
 """
 
 from __future__ import annotations
@@ -105,22 +114,23 @@ def compute_tangent(state, U, tau_old):
     return tangent_and_index(state, U, tau_old, index=False)[0]
 
 
-def tangent_and_index(state, U, tau_old, f0=None, index=True):
+def tangent_and_index(state, U, tau_old, f0=None, index=True, factor=False):
     """(tau, ineg): compute_tangent's tangent and, with index, the stability
     index at U (else None), both from one Jacobian and, where the square
     block is Gu, one factorization.  f0 is the residual at U when the
-    caller holds it."""
-    tau, ineg = unit_tangent(state, U, problem.weights_vector(state) * tau_old,
-                             f0, index)
+    caller holds it; factor adds unit_tangent's factorization."""
+    tau, *rest = unit_tangent(state, U, problem.weights_vector(state) * tau_old,
+                              f0, index, factor)
     if problem.weighted_dot(state, tau, tau_old) < 0:
         tau = -tau
-    return tau, ineg
+    return (tau, *rest)
 
 
-def unit_tangent(state, U, border, f0=None, index=False):
+def unit_tangent(state, U, border, f0=None, index=False, factor=False):
     """(tau, ineg): the solution of J tau = 0, <border, tau> = 1 at U scaled
     to unit length in the weighted product, and with index the stability
-    index at U (else None).
+    index at U (else None).  With factor, (tau, ineg, square): square is
+    (A0, lu) when the LU of A0 below passed its solve check, else None.
 
     J = [A0, a] with A0 = d(G, q)/d(u, wtilde) square and a = d(G, q)/dalpha,
     so tau is (-A0^{-1} a, 1) up to scale, from one LU of A0
@@ -146,10 +156,12 @@ def unit_tangent(state, U, border, f0=None, index=False):
         tau = np.append(-z, 1.0)
     tau = tau / np.sqrt(problem.weighted_dot(state, tau, tau))
     if not index:
-        return tau, None
-    # A0 is not Gu, or Gu gave no accepted LDL^T: stability_index decides
-    if ineg is None or state.nq:
+        ineg = None
+    elif ineg is None or state.nq:
+        # A0 is not Gu, or Gu gave no accepted LDL^T: stability_index decides
         ineg = point_ineg(state, U)
+    if factor:
+        return tau, ineg, None if z is None else (A0, lu)
     return tau, ineg
 
 
@@ -209,7 +221,7 @@ def stepsize_update(state, it, failed):
 
 
 # ---------------------------------------------------------------------------
-# bisection localization
+# localization
 
 def _predict(state, y_l, tau_l, y_r, ds_br, s):
     """Predictor inside a bracket of arclength ds_br at position s from the
@@ -224,12 +236,24 @@ def _predict(state, y_l, tau_l, y_r, ds_br, s):
 
 
 def bisect_special_point(state, left, right, kind):
-    """Shrink a bracket [left, right] (dicts with U, tau, ineg, ds to the
-    right point) around an ineg change (bifurcation) or a tangent-alpha sign
-    change (fold).  Returns the located point dict with "warn" set on
-    corrector failure inside the bisection."""
+    """Locate the special point in a bracket [left, right]: dicts with U,
+    tau, ineg and ds, the arclength to the right point.  kind "bifurcation"
+    brackets an ineg change, "fold" a sign change of tau's alpha component.
+
+    Each iterate is a corrector solve at arclength s from the left point,
+    predicted by switches.bifloc.  s is the root of a smooth test function g
+    (_test_function) by the Illinois variant of regula falsi, kept at least
+    half the final width from either end so that the bracket closes from
+    both sides.  The bracket is halved instead where g is unavailable, has
+    no sign change across it, or disagrees with ineg on an iterate.  It
+    stops at |ds| / 2**bisecmax wide, below 2 dsminbis, or after bisecmax
+    iterates; its ends always differ in ineg (at a fold, in the sign of
+    tau's alpha component).  Returns the right end, past the crossing, with
+    "warn" set on corrector failure.
+    """
     nc = state.controls
     left, right = dict(left), dict(right)
+    final = abs(left["ds"]) / 2 ** nc.bisecmax
     warn = False
 
     def indicator(pt):
@@ -237,11 +261,17 @@ def bisect_special_point(state, left, right, kind):
             return pt["tau"][-1] > 0
         return pt["ineg"]
 
+    g, gs = _test_function(state, left, right, kind)
+    last = None         # the end the previous iterate replaced: 0 or 1
     for _ in range(nc.bisecmax):
         ds_br = left["ds"]
-        if abs(ds_br) / 2.0 < nc.dsminbis:
+        if abs(ds_br) <= final or abs(ds_br) / 2.0 < nc.dsminbis:
             break
-        s = ds_br / 2.0
+        t = 0.5
+        if g is not None:
+            edge = final / (2.0 * abs(ds_br))
+            t = min(max(gs[0] / (gs[0] - gs[1]), edge), 1.0 - edge)
+        s = t * ds_br
         y_l = problem.pack_active(state, left["U"])
         y_r = problem.pack_active(state, right["U"])
         y_pred = _predict(state, y_l, left["tau"], y_r, ds_br, s)
@@ -250,19 +280,94 @@ def bisect_special_point(state, left, right, kind):
         if not res["converged"]:
             warn = True
             break
-        U_mid = res["U"]
-        tau_mid, ineg_mid = tangent_and_index(state, U_mid, left["tau"],
-                                              res["r"])
-        mid = {"U": U_mid, "tau": tau_mid, "ineg": ineg_mid, "ds": ds_br / 2.0}
-        if indicator(mid) != indicator(left):
+        tau_mid, ineg_mid, square = tangent_and_index(
+            state, res["U"], left["tau"], res["r"], factor=True)
+        mid = {"U": res["U"], "tau": tau_mid, "ineg": ineg_mid,
+               "ds": ds_br - s}
+        g_mid = None if g is None else g(mid, square)
+        del square          # free this LU before the next iterate makes one
+        past = indicator(mid) != indicator(left)
+        new = int(past)     # the end mid replaces: 0 left, 1 right
+        if g is not None:
+            if g_mid is None or (g_mid * gs[0] < 0) != past:
+                g = None
+            else:
+                gs[new] = g_mid
+                if new == last:
+                    # Illinois: the other end stays a second time; halve its g
+                    gs[1 - new] /= 2.0
+        last = new
+        if past:
             right = mid
-            left["ds"] = ds_br / 2.0
+            left["ds"] = s
         else:
             left = mid
-    # the right endpoint is past the crossing; report it as the located point
     out = dict(right)
     out["warn"] = warn
     return out
+
+
+def _test_function(state, left, right, kind):
+    """(g, [g(left), g(right)]) for bisect_special_point, g(pt, square) a
+    test function that is smooth across the bracket and changes sign where
+    its indicator does; (None, None) where the bracket is to be halved.
+
+    At a fold g is tau's alpha component, which every iterate computes.  At
+    a bifurcation it is _branch_test's, built on the right end's
+    factorization; each end's g costs one factorization, and only one LU is
+    held at a time.  An ineg jump by more than 1 (a complex pair or a double
+    crossing) is halved.
+    """
+    if kind == "fold":
+        def g(pt, _square):
+            return pt["tau"][-1]
+        gs = [g(left, None), g(right, None)]
+    elif abs(right["ineg"] - left["ineg"]) != 1:
+        return None, None
+    else:
+        square = _square(state, right)
+        if square is None:
+            return None, None
+        g = _branch_test(*square)
+        g_right = g(right, square)
+        del square
+        gs = [g(left, _square(state, left)), g_right]
+    if None in gs or not gs[0] * gs[1] < 0:
+        return None, None
+    return g, gs
+
+
+def _branch_test(A0, lu):
+    """g(pt, square) = -1 / (c^T A0^{-1} b) from the point's factorization
+    square = (A0, lu), or None where it is missing or its solve fails.
+
+    g is the last entry of the solution of [[A0, b], [c^T, 0]] (v, g) =
+    (0, 1) and crosses zero where A0 turns singular (Govaerts 2000, ch.
+    3-4).  b and c come from two steps of inverse iteration from a fixed
+    start with the given LU of A0 and with its transpose: near the crossing
+    they are nearly its null vectors, so that g has no pole in the bracket.
+    """
+    b = c = np.random.default_rng(0).standard_normal(A0.shape[0])
+    for _ in range(2):
+        b = linsolve.solve(lu, b)
+        c = linsolve.solve(lu, c, trans="T")
+        b, c = b / np.linalg.norm(b), c / np.linalg.norm(c)
+
+    def g(pt, square):
+        if square is None:
+            return None
+        try:
+            d = c @ linsolve.checked_solve(square[1], square[0], b)
+        except SingularMatrixError:
+            return None
+        return -1.0 / d if d else None
+    return g
+
+
+def _square(state, pt):
+    """unit_tangent's factorization of the square block at the point pt."""
+    return tangent_and_index(state, pt["U"], pt["tau"], index=False,
+                             factor=True)[2]
 
 
 # ---------------------------------------------------------------------------
@@ -390,17 +495,20 @@ def _record_special(state, loc, ptype, name):
     failure = None
     if loc["warn"]:
         lam = loc["U"][state.nu + state.ilam[0] - 1]
-        failure = (f"the corrector failed inside the bisection; the point at "
-                   f"{_primary_name(state)} = {lam:.10g} is not localized")
+        failure = (f"the corrector failed inside the localization; the "
+                   f"point at {_primary_name(state)} = {lam:.10g} is not "
+                   f"localized")
     _record(state, loc["U"], ptype, loc["ineg"], name, tau=loc["tau"],
             failure=failure)
 
 
 def _record(state, U, ptype, ineg, name, tau=None, usr=0, failure=None):
     """Append the branch record of U and save it as point file `name`; a
-    failure is a RuntimeWarning naming the point (U None: nothing saved)."""
+    failure is a RuntimeWarning naming the point, also listed in
+    state.sol.failures (U None: nothing saved)."""
     if failure is not None:
-        warnings.warn(f"{name}: {failure}", RuntimeWarning, stacklevel=3)
+        state.sol.failures.append(f"{name}: {failure}")
+        warnings.warn(state.sol.failures[-1], RuntimeWarning, stacklevel=3)
     if U is None:
         return
     state.branch.append(make_record(state, U, ptype, ineg, usr=usr))

@@ -62,9 +62,10 @@ class FactorCache:
         return lu
 
 
-def solve(lu, rhs: np.ndarray) -> np.ndarray:
-    """lu.solve(rhs); a non-finite solution is a SingularMatrixError."""
-    x = lu.solve(rhs)
+def solve(lu, rhs: np.ndarray, trans: str = "N") -> np.ndarray:
+    """lu.solve(rhs, trans): with A^T for trans "T"; a non-finite solution
+    is a SingularMatrixError."""
+    x = lu.solve(rhs, trans)
     if not np.all(np.isfinite(x)):
         raise SingularMatrixError("linear solve produced non-finite values")
     return x

@@ -81,6 +81,8 @@ class SolInfo:
     iter: int = 0
     meth: str = "arc"
     restart: bool = False
+    # "point: what went wrong" for each failure continuation warned of
+    failures: list = field(default_factory=list)
 
 
 @dataclass
@@ -210,10 +212,15 @@ class ProblemState:
 
 def setfemops(state: ProblemState):
     """(Re)assemble the cached operators; called at init and after bcper
-    changes, which carry a u reduced by the previous periodization over."""
+    changes, which carry u, uold and tau reduced by the previous
+    periodization over."""
     mesh, neq = state.mesh, state.neq
     per = periodic.build_periodization(mesh, neq, state.switches.bcper)
-    state.u = _reperiodize(state, per)
+    naux = len(state.parnames)
+    for name, ntail in (("u", naux), ("uold", naux), ("tau", state.nq + 1)):
+        v = getattr(state, name)
+        if v is not None:
+            setattr(state, name, _reperiodize(state, per, v, ntail))
     state.ops.per = per
     if state.spdata:
         state.spdata["nu_base"] = per.nu_per
@@ -254,13 +261,14 @@ def setfemops(state: ProblemState):
         A.eliminate_zeros()
 
 
-def _reperiodize(state: ProblemState, per: Periodization) -> np.ndarray:
-    """state.u with its nodal fields (two in fold continuation) reduced by
-    per: a full-mesh field is restricted, one reduced by the previous
-    periodization state.ops.per is extended through it first."""
-    naux = len(state.parnames)
+def _reperiodize(state: ProblemState, per: Periodization, v: np.ndarray,
+                 ntail: int) -> np.ndarray:
+    """v (u, uold or tau) with its nodal fields (two in fold continuation)
+    reduced by per and its last ntail entries kept: a full-mesh field is
+    restricted, one reduced by the previous periodization state.ops.per is
+    extended through it first."""
     nfields = 2 if state.mode == "spcont" else 1
-    nodal = state.u[:len(state.u) - naux]
+    nodal = v[:len(v) - ntail]
     old = state.ops.per
     if len(nodal) == nfields * per.fill.shape[0]:
         fields = np.split(nodal, nfields)
@@ -269,10 +277,10 @@ def _reperiodize(state: ProblemState, per: Periodization) -> np.ndarray:
                   for f in np.split(nodal, nfields)]
     else:
         raise periodic.PeriodicityError(
-            f"unknown vector of length {len(state.u)} is neither full-mesh "
+            f"unknown vector of length {len(v)} is neither full-mesh "
             "nor reduced by the previous periodization")
     return np.concatenate([periodic.restrict_vector(f, per) for f in fields]
-                          + [state.u[len(nodal):]])
+                          + [v[len(nodal):]])
 
 
 # ---------------------------------------------------------------------------

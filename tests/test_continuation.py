@@ -287,6 +287,128 @@ def test_bifloc_predictors_locate_the_same_point():
     assert max(located) - min(located) <= tol
 
 
+# -- localization at a test function's root -----------------------------------
+
+# (ptype, ineg) of every record, and the located primary values, as
+# bisecmax = 10 halvings of each bracket located them
+HALVING = {
+    "acfold": (
+        [(-1, 0), (0, 0), (0, 0), (0, 0), (1, 1), (0, 1), (0, 1), (0, 1),
+         (0, 1), (0, 1), (0, 1), (0, 1), (0, 1), (0, 1), (0, 1), (0, 1),
+         (0, 1), (0, 1), (0, 1), (0, 1), (0, 1), (0, 1), (0, 1), (0, 1),
+         (1, 2), (0, 2)],
+        [1.3838019642140436, 3.2586584414754682]),
+    "bratu": (
+        [(-1, 0), (0, 0), (0, 0), (0, 0), (0, 0), (0, 0), (0, 0), (0, 0),
+         (0, 0), (0, 0), (0, 0), (0, 0), (0, 0), (0, 0), (0, 0), (0, 0),
+         (0, 0), (0, 0), (0, 0), (0, 0), (0, 0), (0, 0), (1, 1), (2, 1),
+         (0, 1), (0, 1), (1, 2), (0, 3), (0, 3), (1, 4), (0, 4), (0, 4),
+         (0, 4), (0, 4), (1, 6), (0, 6), (0, 6), (1, 7), (0, 7), (1, 8),
+         (0, 8), (0, 8), (0, 8), (0, 8), (0, 8), (0, 8), (1, 9), (0, 9),
+         (0, 9)],
+        [0.3678794408176864, 0.3678794408176864, 0.3661814824776586,
+         0.3613731927968541, 0.34463975080758663, 0.33369756857548355,
+         0.33246801998795444, 0.2913960563813778]),
+}
+
+
+def _count_localization(monkeypatch):
+    """Per bisect_special_point call: (|ds| of its bracket, its nloopext
+    calls, the ineg jump across it)."""
+    calls, seen = [0], []
+    nloopext, bisect = continuation.nloopext, continuation.bisect_special_point
+
+    def counting(*args, **kwargs):
+        calls[0] += 1
+        return nloopext(*args, **kwargs)
+
+    def localizing(state, left, right, kind):
+        n0 = calls[0]
+        out = bisect(state, left, right, kind)
+        seen.append((abs(left["ds"]), calls[0] - n0,
+                     abs(right["ineg"] - left["ineg"])))
+        return out
+    monkeypatch.setattr(continuation, "nloopext", counting)
+    monkeypatch.setattr(continuation, "bisect_special_point", localizing)
+    return seen
+
+
+@pytest.mark.parametrize("name", ["acfold", "bratu"])
+def test_localization_keeps_the_halving_points(monkeypatch, name):
+    # acfold 30x27 findbif(2); bratu 14x14 cont(40) with both detectors
+    # on, where ineg also jumps by 2 at double eigenvalues
+    seen = _count_localization(monkeypatch)
+    if name == "acfold":
+        st = demos.make("acfold", {"nx": 30, "ny": 27})
+        findbif(st, 2)
+    else:
+        st = demos.make("bratu", {"nx": 14, "ny": 14})
+        st.switches.foldcheck = 1
+        cont(st, 40)
+    sequence, lams = HALVING[name]
+    assert [(r.ptype, r.ineg) for r in st.branch] == sequence
+    located = [r.pars[0] for r in st.branch if r.ptype > 0]
+    assert len(located) == len(lams) == len(seen)
+    for lam, want, (ds, _, _) in zip(located, lams, seen):
+        assert abs(lam - want) <= ds / 2 ** st.controls.bisecmax
+    if name == "acfold":
+        # at most 6 corrector solves per point, not bisecmax = 10
+        assert all(solves <= 6 for _, solves, _ in seen)
+    else:
+        # a double eigenvalue (ineg jumps by 2) is halved
+        assert all(solves == 10 for _, solves, jump in seen if jump > 1)
+
+
+def test_bratu_fold_is_located_closer_than_by_halving(bratu):
+    bratu.switches.foldcheck = 1
+    bratu.sol.ds = 0.05
+    cont(bratu, 25)
+    folds = [r.pars[0] for r in bratu.branch if r.ptype == 2]
+    assert len(folds) == 1
+    # 2.77e-10 after ten halvings
+    assert abs(folds[0] - np.exp(-1.0)) <= 2.7746593911359696e-10
+
+
+def _trivial_bracket(st, lam_l, lam_r):
+    """Two points of acfold's trivial branch u = 0 as a bracket."""
+    problem.init_weights(st)
+    pts = []
+    for lam in (lam_l, lam_r):
+        U = np.array(st.u)
+        U[st.nu + st.ilam[0] - 1] = lam
+        e = np.zeros(st.nu + 1)
+        e[-1] = 1.0
+        tau, ineg = continuation.unit_tangent(st, U, e, index=True)
+        pts.append({"U": U, "tau": tau, "ineg": ineg})
+    y_l, y_r = (problem.pack_active(st, p["U"]) for p in pts)
+    for p in pts:
+        p["ds"] = problem.weighted_dot(st, pts[0]["tau"], y_r - y_l)
+    return pts
+
+
+def test_test_function_without_sign_change_falls_back_to_halving(
+        monkeypatch):
+    st = demos.make("acfold", {"nx": 30, "ny": 27})
+    left, right = _trivial_bracket(st, 1.3, 1.45)
+    assert (left["ineg"], right["ineg"]) == (0, 1)
+    seen = _count_localization(monkeypatch)
+    root = continuation.bisect_special_point(st, left, right, "bifurcation")
+    branch_test = continuation._branch_test
+
+    def unsigned(A0, lu):
+        g = branch_test(A0, lu)
+        return lambda pt, square: abs(g(pt, square))
+    monkeypatch.setattr(continuation, "_branch_test", unsigned)
+    halved = continuation.bisect_special_point(st, left, right, "bifurcation")
+    assert seen[0][1] <= 6 and seen[1][1] == st.controls.bisecmax
+    width = left["ds"] / 2 ** st.controls.bisecmax
+    lam = [p["U"][st.nu + st.ilam[0] - 1] for p in (root, halved)]
+    assert not root["warn"] and not halved["warn"]
+    assert root["ineg"] == halved["ineg"] == 1
+    # both end past the crossing, within the final width of it
+    assert abs(lam[0] - lam[1]) <= width
+
+
 # -- failures are reported, not swallowed -------------------------------------
 
 def test_bisection_failure_warns_and_keeps_the_point(monkeypatch):

@@ -230,6 +230,29 @@ def test_cli_run_and_check(tmp_path):
     assert cli.main(["check", "bratu"]) == 0
 
 
+@pytest.mark.parametrize("argv, point", [
+    (["findbif", "acfold", "--nbif", "1"], "bpt1"),
+    (["run", "bratu", "--steps", "25", "--ds", "0.05"], "bpt1")])
+def test_cli_writes_outputs_then_fails_on_a_swallowed_failure(
+        tmp_path, monkeypatch, capsys, argv, point):
+    from pdecont import continuation
+    orig = continuation.bisect_special_point
+
+    def failing(state, left, right, kind):
+        return dict(orig(state, left, right, kind), warn=True)
+    monkeypatch.setattr(continuation, "bisect_special_point", failing)
+    out = str(tmp_path / "run")
+    with pytest.warns(RuntimeWarning) as caught:
+        rc = cli.main(argv + ["--out", out])
+    assert rc == 1
+    assert str(caught[0].message).startswith(f"{point}: ")
+    assert os.path.exists(os.path.join(out, "branch.csv"))
+    assert os.path.exists(os.path.join(out, f"{point}.json"))
+    err = capsys.readouterr().err
+    assert f"failed: {point}: the corrector failed inside the " \
+           "localization" in err
+
+
 def test_cli_check_uses_a_perturbed_state(monkeypatch, capsys):
     # bratu's default state (u = 0, lambda = 0) has a zero second block
     seen = []

@@ -176,6 +176,30 @@ def test_setfemops_maps_a_reduced_u_to_a_new_periodization():
         full = periodic.extend_vector(want, fresh.ops.per)
 
 
+def test_setfemops_maps_uold_and_tau_with_u():
+    # schnaktravel bcper 1 -> 2: its phase condition reads uold, which
+    # follows u into the new layout, so the residual is that of a state made
+    # with bcper 2; tau's nodal part is mapped the same way
+    from pdecont import demos, problem
+    st = demos.perturb(demos.make("schnaktravel"))
+    st.uold = demos.perturb(demos.make("schnaktravel"), seed=1).u
+    st.tau = np.random.default_rng(2).standard_normal(st.nu + st.nq + 1)
+    old, nu = st.ops.per, st.nu
+    full = [periodic.extend_vector(v[:nu], old)
+            for v in (st.u, st.uold, st.tau)]
+    tails = [v[nu:].copy() for v in (st.u, st.uold, st.tau)]
+    st.switches.bcper = 2
+    problem.setfemops(st)
+    fresh = demos.make("schnaktravel", {"bcper": 2})
+    assert len(st.u) == len(fresh.u) < len(full[0])
+    fresh.u, fresh.uold, tau = (
+        np.concatenate([periodic.restrict_vector(f, fresh.ops.per), t])
+        for f, t in zip(full, tails))
+    assert np.array_equal(st.uold, fresh.uold)
+    assert np.array_equal(st.tau, tau)
+    assert np.array_equal(problem.residual(st), problem.residual(fresh))
+
+
 def test_setfemops_maps_both_fields_in_fold_continuation():
     from pdecont import demos, problem, spcont
     st = demos.perturb(demos.make("schnak", {"bcper": 1}), seed=1)

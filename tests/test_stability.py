@@ -45,12 +45,12 @@ def acfold_run(tmp_path_factory):
 
     # every point, a run's first included, takes its index from the
     # tangent's factorization
-    def checked_tangent(state, U, border, f0=None, index=False):
-        tau, got = orig_tangent(state, U, border, f0, index)
+    def checked_tangent(state, U, border, f0=None, index=False, factor=False):
+        out = orig_tangent(state, U, border, f0, index, factor)
         if index:
             Gu = problem.pde_jacobian_u(state, U)
-            seen.append((got, eigen_count(Gu, state.ops.M)))
-        return tau, got
+            seen.append((out[1], eigen_count(Gu, state.ops.M)))
+        return out
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(linsolve, "stability_index", checked)
