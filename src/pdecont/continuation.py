@@ -245,9 +245,10 @@ def bisect_special_point(state, left, right, kind):
     (_test_function) by the Illinois variant of regula falsi, kept at least
     half the final width from either end so that the bracket closes from
     both sides.  The bracket is halved instead where g is unavailable, has
-    no sign change across it, or disagrees with ineg on an iterate.  It
-    stops at |ds| / 2**bisecmax wide, below 2 dsminbis, or after bisecmax
-    iterates; its ends always differ in ineg (at a fold, in the sign of
+    no sign change across it, disagrees with ineg on an iterate, or has
+    not closed after bisecmax iterates.  It stops at |ds| / 2**bisecmax
+    wide, which halving reaches in at most bisecmax more iterates, or below
+    2 dsminbis; its ends always differ in ineg (at a fold, in the sign of
     tau's alpha component).  Returns the right end, past the crossing, with
     "warn" set on corrector failure.
     """
@@ -263,10 +264,12 @@ def bisect_special_point(state, left, right, kind):
 
     g, gs = _test_function(state, left, right, kind)
     last = None         # the end the previous iterate replaced: 0 or 1
-    for _ in range(nc.bisecmax):
+    for it in range(2 * nc.bisecmax):
         ds_br = left["ds"]
         if abs(ds_br) <= final or abs(ds_br) / 2.0 < nc.dsminbis:
             break
+        if it == nc.bisecmax:
+            g = None
         t = 0.5
         if g is not None:
             edge = final / (2.0 * abs(ds_br))
@@ -289,7 +292,8 @@ def bisect_special_point(state, left, right, kind):
         past = indicator(mid) != indicator(left)
         new = int(past)     # the end mid replaces: 0 left, 1 right
         if g is not None:
-            if g_mid is None or (g_mid * gs[0] < 0) != past:
+            # the left end's g keeps its sign; a g of 0 counts as past
+            if g_mid is None or (g_mid * gs[0] <= 0) != past:
                 g = None
             else:
                 gs[new] = g_mid

@@ -88,7 +88,7 @@ def swibra(state, ds_new, kerneltol=1e-6):
 
 def findbif(state, nbif=1):
     """Continue along the current branch until nbif bifurcation points have
-    been localized by the stability-index bisection (or the run stops)."""
+    been detected by the stability index and localized (or the run stops)."""
     sw = state.switches
     old = (sw.bifcheck, sw.spcalc)
     sw.bifcheck, sw.spcalc = 1, 1

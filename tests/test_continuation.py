@@ -386,23 +386,30 @@ def _trivial_bracket(st, lam_l, lam_r):
     return pts
 
 
-def test_test_function_without_sign_change_falls_back_to_halving(
-        monkeypatch):
+@pytest.mark.parametrize("broken", ["no sign change", "root moved"])
+def test_unreliable_test_function_falls_back_to_halving(monkeypatch, broken):
+    # a g without a sign change across the bracket is never used; a g whose
+    # root (lambda = 1.33) is not where ineg changes (1.384) disagrees with
+    # ineg on an iterate, and the bracket is halved from there
     st = demos.make("acfold", {"nx": 30, "ny": 27})
     left, right = _trivial_bracket(st, 1.3, 1.45)
     assert (left["ineg"], right["ineg"]) == (0, 1)
     seen = _count_localization(monkeypatch)
     root = continuation.bisect_special_point(st, left, right, "bifurcation")
-    branch_test = continuation._branch_test
+    branch_test, slot = continuation._branch_test, st.nu + st.ilam[0] - 1
 
-    def unsigned(A0, lu):
+    def unreliable(A0, lu):
         g = branch_test(A0, lu)
-        return lambda pt, square: abs(g(pt, square))
-    monkeypatch.setattr(continuation, "_branch_test", unsigned)
+        if broken == "no sign change":
+            return lambda pt, square: abs(g(pt, square))
+        return lambda pt, square: pt["U"][slot] - 1.33
+    monkeypatch.setattr(continuation, "_branch_test", unreliable)
     halved = continuation.bisect_special_point(st, left, right, "bifurcation")
-    assert seen[0][1] <= 6 and seen[1][1] == st.controls.bisecmax
+    assert seen[0][1] <= 6
+    if broken == "no sign change":
+        assert seen[1][1] == st.controls.bisecmax
     width = left["ds"] / 2 ** st.controls.bisecmax
-    lam = [p["U"][st.nu + st.ilam[0] - 1] for p in (root, halved)]
+    lam = [p["U"][slot] for p in (root, halved)]
     assert not root["warn"] and not halved["warn"]
     assert root["ineg"] == halved["ineg"] == 1
     # both end past the crossing, within the final width of it
