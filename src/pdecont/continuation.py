@@ -5,8 +5,9 @@ fold points, and user-target parameter output.
 Both correctors are one Newton loop on the bordered system (G, q,
 <border, y - y_base> - ds) = 0: border e_alpha and ds = 0 (natural), or
 w*tau (arclength).  The tangent at a point comes from one factorization of
-the square block d(G, q)/d(u, wtilde) by block elimination; where that
-block is Gu, the same factorization gives the stability index.
+the square block d(G, q)/d(u, wtilde) by block elimination, and the
+stability index from the same Jacobian: where that block is Gu, from the
+same factorization.
 
 A change of the stability index (bifurcation) or of the sign of the
 tangent's parameter component (fold) between two points is localized at
@@ -114,32 +115,36 @@ def compute_tangent(state, U, tau_old):
     return tangent_and_index(state, U, tau_old, index=False)[0]
 
 
-def tangent_and_index(state, U, tau_old, f0=None, index=True, factor=False):
-    """(tau, ineg): compute_tangent's tangent and, with index, the stability
-    index at U (else None), both from one Jacobian and, where the square
-    block is Gu, one factorization.  f0 is the residual at U when the
-    caller holds it; factor adds unit_tangent's factorization."""
-    tau, *rest = unit_tangent(state, U, problem.weights_vector(state) * tau_old,
-                              f0, index, factor)
+def tangent_and_index(state, U, tau_old, f0=None, index=True):
+    """(tau, ineg, square): unit_tangent's with border w tau_old, tau turned
+    to compute_tangent's direction.  f0 is the residual at U when the caller
+    holds it.  A caller that does not use square drops it in the same
+    expression, so that no LU outlives its use."""
+    tau, ineg, square = unit_tangent(
+        state, U, problem.weights_vector(state) * tau_old, f0, index)
     if problem.weighted_dot(state, tau, tau_old) < 0:
         tau = -tau
-    return (tau, *rest)
+    return tau, ineg, square
 
 
-def unit_tangent(state, U, border, f0=None, index=False, factor=False):
-    """(tau, ineg): the solution of J tau = 0, <border, tau> = 1 at U scaled
-    to unit length in the weighted product, and with index the stability
-    index at U (else None).  With factor, (tau, ineg, square): square is
-    (A0, lu) when the LU of A0 below passed its solve check, else None.
+def unit_tangent(state, U, border, f0=None, index=False):
+    """(tau, ineg, square): the solution of J tau = 0, <border, tau> = 1 at U
+    scaled to unit length in the weighted product; with index the stability
+    index at U (else None); and square = (A0, lu) when the LU of A0 below
+    passed its solve check, else None.
 
     J = [A0, a] with A0 = d(G, q)/d(u, wtilde) square and a = d(G, q)/dalpha,
     so tau is (-A0^{-1} a, 1) up to scale, from one LU of A0
-    (linsolve.factorize_square); the border only sets the scale.  Where A0
-    is Gu (nq = 0, normal mode) and its LDL^T is accepted, the index is
-    that LU's inertia; otherwise it is point_ineg's.  A singular
+    (linsolve.factorize_square); the border only sets the scale.  A singular
     A0, a solve that fails checked_solve's residual test, or a fold
     (||A0^{-1} a||_inf >= 1 / FOLD_RTOL) take the stacked bordered solve
     linsolve.blss instead.
+
+    The index counts the unstable eigenvalues of (Gu, M): the inertia of
+    that LU where A0 is Gu (nq = 0) and its LDL^T is accepted, else
+    linsolve.stability_index of J's leading nu_per x nu_per block, which is
+    Gu in every mode (jacobian_active stacks Gu first; fold continuation's
+    PDE block is [[Gu, 0], [S, Gu]]).
     """
     J = problem.jacobian_active(state, U, f0)
     n = J.shape[0]
@@ -158,32 +163,10 @@ def unit_tangent(state, U, border, f0=None, index=False, factor=False):
     if not index:
         ineg = None
     elif ineg is None or state.nq:
-        # A0 is not Gu, or Gu gave no accepted LDL^T: stability_index decides
-        ineg = point_ineg(state, U)
-    if factor:
-        return tau, ineg, None if z is None else (A0, lu)
-    return tau, ineg
-
-
-def _stability_block(state, U):
-    """PDE-block Jacobian and mass matrix at U whose spectrum decides
-    stability: the base block when running a fold/branch-point continuation."""
-    if state.mode == "spcont":
-        from . import spcont as _spcont
-        return _spcont.base_pde_block(state, U)
-    return problem.pde_jacobian_u(state, U), state.ops.M
-
-
-def point_spectrum(state, U):
-    """Near-zero spectrum of the stability block at U."""
-    return linsolve.spectrum_near_zero(*_stability_block(state, U),
-                                       state.controls.neig)
-
-
-def point_ineg(state, U):
-    """Stability index (number of unstable eigenvalues) at U."""
-    return linsolve.stability_index(*_stability_block(state, U),
-                                    state.controls.neig)
+        nb = state.ops.per.nu_per
+        ineg = linsolve.stability_index(J[:nb, :nb], state.ops.M,
+                                        state.controls.neig)
+    return tau, ineg, None if z is None else (A0, lu)
 
 
 def _l2norm(state, U):
@@ -284,7 +267,7 @@ def bisect_special_point(state, left, right, kind):
             warn = True
             break
         tau_mid, ineg_mid, square = tangent_and_index(
-            state, res["U"], left["tau"], res["r"], factor=True)
+            state, res["U"], left["tau"], res["r"])
         mid = {"U": res["U"], "tau": tau_mid, "ineg": ineg_mid,
                "ds": ds_br - s}
         g_mid = None if g is None else g(mid, square)
@@ -370,8 +353,7 @@ def _branch_test(A0, lu):
 
 def _square(state, pt):
     """unit_tangent's factorization of the square block at the point pt."""
-    return tangent_and_index(state, pt["U"], pt["tau"], index=False,
-                             factor=True)[2]
+    return tangent_and_index(state, pt["U"], pt["tau"], index=False)[2]
 
 
 # ---------------------------------------------------------------------------
@@ -382,14 +364,15 @@ def cont(state, nsteps=None):
     detection -> record/save -> stepsize update -> user-target interception."""
     nc, sw = state.controls, state.switches
     nsteps = nc.nsteps if nsteps is None else nsteps
+    state.sol.restart = False       # until this call stops on ds < dsmin
     problem.init_weights(state)
     if state.uold is None:
         state.uold = state.u.copy()
     if state.tau is None:
         from . import switching as _switching
         _switching.getinitau(state)
-    if state.sol.ineg < 0 and sw.spcalc:
-        state.sol.ineg = point_ineg(state, state.u)
+    elif state.sol.ineg < 0 and sw.spcalc:
+        state.sol.ineg = tangent_and_index(state, state.u, state.tau)[1]
     if not state.branch:
         _record(state, state.u, state.ptype, state.sol.ineg,
                 f"pt{state.file.count}")
@@ -425,7 +408,7 @@ def cont(state, nsteps=None):
         U_new = result["U"]
         state.sol.iter = result["iter"]
         tau_new, ineg_new = tangent_and_index(state, U_new, tau0, result["r"],
-                                              index=bool(sw.spcalc))
+                                              index=bool(sw.spcalc))[:2]
         if ineg_new is None:
             ineg_new = state.sol.ineg
 

@@ -79,8 +79,7 @@ def save_point(state, name):
         "nq": int(state.nq),
         "ptype": int(state.ptype),
         "mode": state.mode,
-        "spdata": ({"nu_base": int(state.spdata["nu_base"])}
-                   if state.spdata else None),
+        "spdata": state.spdata,
         "spcont": int(state.switches.spcont),
         "counters": {"count": state.file.count, "bcount": state.file.bcount,
                      "fcount": state.file.fcount},
@@ -128,9 +127,13 @@ def load_point(directory, name):
 
     state.switches.spcont = int(doc["spcont"])
     state.mode = doc["mode"]
-    # only nu_base is read; older files also carry old_primary in spdata
+    # spdata follows from mode and the periodization, so it is only checked
     spd = doc["spdata"]
-    state.spdata = None if spd is None else {"nu_base": int(spd["nu_base"])}
+    if spd is not None:
+        spd = {"nu_base": spd["nu_base"]}    # older files add old_primary
+    if spd != state.spdata:
+        raise IOError_(f"point file's fold-continuation layout {spd} does not "
+                       f"match the problem's {state.spdata}")
     state.nq = int(doc["nq"])
     state.ilam = [int(i) for i in doc["ilam"]]
     state.ptype = int(doc["ptype"])

@@ -98,45 +98,31 @@ def build_rect_mesh(lx: float, ly: float, nx: int, ny: int) -> Mesh:
     X, Y = np.meshgrid(xs, ys)           # row-major by y then x
     points = np.column_stack([X.ravel(), Y.ravel()])
 
-    def nid(ix, iy):
-        return iy * (nx + 1) + ix
+    ids = np.arange(points.shape[0], dtype=np.int64).reshape(ny + 1, nx + 1)
+    n00, n10 = ids[:-1, :-1].ravel(), ids[:-1, 1:].ravel()
+    n01, n11 = ids[1:, :-1].ravel(), ids[1:, 1:].ravel()
+    # two triangles per cell, cells row-major by y then x
+    triangles = np.column_stack([n00, n10, n11, n00, n11, n01]).reshape(-1, 3)
 
-    tris = []
-    for iy in range(ny):
-        for ix in range(nx):
-            n00 = nid(ix, iy)
-            n10 = nid(ix + 1, iy)
-            n01 = nid(ix, iy + 1)
-            n11 = nid(ix + 1, iy + 1)
-            tris.append((n00, n10, n11))
-            tris.append((n00, n11, n01))
-    triangles = np.array(tris, dtype=np.int64)
-
-    edges, segs, svals = [], [], []
-    # counterclockwise from bottom-left corner
-    for ix in range(nx):                                   # bottom, left to right
-        edges.append((nid(ix, 0), nid(ix + 1, 0)))
-        segs.append(SEG_BOTTOM)
-        svals.append((xs[ix] + lx, xs[ix + 1] + lx))
-    for iy in range(ny):                                   # right, bottom to top
-        edges.append((nid(nx, iy), nid(nx, iy + 1)))
-        segs.append(SEG_RIGHT)
-        svals.append((ys[iy] + ly, ys[iy + 1] + ly))
-    for ix in range(nx, 0, -1):                            # top, right to left
-        edges.append((nid(ix, ny), nid(ix - 1, ny)))
-        segs.append(SEG_TOP)
-        svals.append((lx - xs[ix], lx - xs[ix - 1]))
-    for iy in range(ny, 0, -1):                            # left, top to bottom
-        edges.append((nid(0, iy), nid(0, iy - 1)))
-        segs.append(SEG_LEFT)
-        svals.append((ly - ys[iy], ly - ys[iy - 1]))
+    # one counterclockwise ring from the bottom-left corner: the bottom
+    # left to right, the right side up, the top right to left, the left down
+    ring = np.concatenate([ids[0, :-1], ids[:-1, -1], ids[-1, :0:-1],
+                           ids[:0:-1, 0]])
+    edges = np.column_stack([ring, np.roll(ring, -1)])
+    edge_seg = np.repeat(np.array([SEG_BOTTOM, SEG_RIGHT, SEG_TOP, SEG_LEFT],
+                                  dtype=np.int64), [nx, ny, nx, ny])
+    edge_s = np.concatenate([
+        np.column_stack([xs[:-1] + lx, xs[1:] + lx]),
+        np.column_stack([ys[:-1] + ly, ys[1:] + ly]),
+        np.column_stack([lx - xs[:0:-1], lx - xs[-2::-1]]),
+        np.column_stack([ly - ys[:0:-1], ly - ys[-2::-1]])])
 
     return Mesh(
         points=points,
         triangles=triangles,
-        edges=np.array(edges, dtype=np.int64),
-        edge_seg=np.array(segs, dtype=np.int64),
-        edge_s=np.array(svals),
+        edges=edges,
+        edge_seg=edge_seg,
+        edge_s=edge_s,
         lx=float(lx), ly=float(ly), nx=int(nx), ny=int(ny),
     )
 

@@ -80,7 +80,7 @@ class SolInfo:
     ineg: int = -1
     iter: int = 0
     meth: str = "arc"
-    restart: bool = False
+    restart: bool = False           # the last cont stopped on ds < dsmin
     # "point: what went wrong" for each failure continuation warned of
     failures: list = field(default_factory=list)
 
@@ -177,7 +177,14 @@ class ProblemState:
     total_steps: int = 0
     demo_config: dict = field(default_factory=dict)
     mode: str = "normal"                 # "normal" or "spcont"
-    spdata: Optional[dict] = None        # extended-system bookkeeping
+
+    @property
+    def spdata(self) -> Optional[dict]:
+        """Fold continuation's layout, {"nu_base": length of the base PDE
+        field}, taken from the periodization; None in normal mode."""
+        if self.mode != "spcont":
+            return None
+        return {"nu_base": self.ops.per.nu_per}
 
     @property
     def nu(self) -> int:
@@ -222,8 +229,6 @@ def setfemops(state: ProblemState):
         if v is not None:
             setattr(state, name, _reperiodize(state, per, v, ntail))
     state.ops.per = per
-    if state.spdata:
-        state.spdata["nu_base"] = per.nu_per
 
     state.ops.M = periodic.periodize_operator(fem.assemble_mass(mesh, neq), per)
 

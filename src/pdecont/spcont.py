@@ -92,8 +92,9 @@ def extended_aux_jacobian_u(state, U):
 
 
 def base_pde_block(state, U):
-    """PDE-block Jacobian and mass matrix of the underlying problem (used
-    for the stability index along a fold/branch-point curve)."""
+    """PDE-block Jacobian Gu and mass matrix of the underlying problem at an
+    extended point U: the pencil whose spectrum decides stability along a
+    fold/branch-point curve."""
     with base_view(state):
         Gu = problem.pde_jacobian_u(state, base_vector(state, U))
     return Gu, state.ops.M
@@ -135,7 +136,6 @@ def spcontini(state, extra_param_index, kerneltol=1e-2):
     old_primary = state.ilam[0]
     state.u = np.concatenate([state.u[:nb], phi, state.u[nb:]])
     state.mode = "spcont"
-    state.spdata = {"nu_base": nb}
     state.nq = 1
     state.ilam = [extra, old_primary]
     state.switches.spcont = 2 if state.ptype == 2 else 1
@@ -152,7 +152,6 @@ def spcontexit(state, primary_param_index=None):
     primary = int(primary_param_index) if primary_param_index else state.ilam[1]
     state.u = np.concatenate([state.u[:nb], state.u[2 * nb:]])
     state.mode = "normal"
-    state.spdata = None
     state.nq = 0
     state.ilam = [primary]
     state.switches.spcont = 0

@@ -22,12 +22,13 @@ def getinitau(state):
     """Initial tangent (continuation.unit_tangent, the border row the unit
     vector in the primary-parameter slot); weighted-normalized, primary
     component nonnegative.  A stability index the run needs and lacks
-    (spcalc, sol.ineg < 0) comes from the same factorization."""
+    (spcalc, sol.ineg < 0) comes from the same Jacobian."""
     problem.init_weights(state)
     e = np.zeros(state.nu + state.nq + 1)
     e[-1] = 1.0
     need_index = bool(state.switches.spcalc) and state.sol.ineg < 0
-    tau, ineg = continuation.unit_tangent(state, state.u, e, index=need_index)
+    tau, ineg = continuation.unit_tangent(state, state.u, e,
+                                         index=need_index)[:2]
     if tau[-1] < 0:
         tau = -tau
     state.tau = tau

@@ -378,7 +378,7 @@ def _trivial_bracket(st, lam_l, lam_r):
         U[st.nu + st.ilam[0] - 1] = lam
         e = np.zeros(st.nu + 1)
         e[-1] = 1.0
-        tau, ineg = continuation.unit_tangent(st, U, e, index=True)
+        tau, ineg = continuation.unit_tangent(st, U, e, index=True)[:2]
         pts.append({"U": U, "tau": tau, "ineg": ineg})
     y_l, y_r = (problem.pack_active(st, p["U"]) for p in pts)
     for p in pts:
@@ -464,3 +464,24 @@ def test_stepsize_underflow_warns_and_stops(bratu, monkeypatch):
     assert bratu.sol.restart
     assert len(bratu.branch) == n and bratu.primary_value == lam
     assert abs(bratu.sol.ds) / 2.0 < bratu.controls.dsmin
+
+
+def test_findbif_after_a_stepsize_underflow_finds_the_point(monkeypatch):
+    # a stop on ds < dsmin marks that cont call only: a later findbif
+    # continues from the same point and locates the branch point there
+    st = demos.make("acfold", {"nx": 20, "ny": 18})
+    st.usrlam = []
+
+    def never(state, U, *args, **kwargs):
+        return {"U": U, "r": None, "res": 1.0, "iter": state.controls.imax,
+                "converged": False}
+    with monkeypatch.context() as m:
+        m.setattr(continuation, "nloop", never)
+        m.setattr(continuation, "nloopext", never)
+        with pytest.warns(RuntimeWarning, match="ds = "):
+            cont(st, 1)
+    assert st.sol.restart and st.total_steps == 0
+    st.sol.ds = 0.1
+    findbif(st, 1)
+    assert not st.sol.restart
+    assert st.file.bcount == 1 and st.total_steps == 4

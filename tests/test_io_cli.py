@@ -83,6 +83,22 @@ def test_load_point_reads_file_with_removed_switch(run_dir, tmp_path):
     assert np.array_equal(problem.residual(st3), problem.residual(st))
 
 
+def test_spdata_follows_the_layout_and_is_checked_on_load(run_dir, tmp_path):
+    d, st = run_dir
+    assert st.spdata is None
+    with pytest.raises(AttributeError):
+        st.spdata = {"nu_base": 1}
+    spcont.spcontini(st, 2, kerneltol=np.inf)
+    assert st.spdata == {"nu_base": st.ops.per.nu_per}
+    st.file.dir = str(tmp_path)
+    doc = _read_json(io.save_point(st, "sp0"))
+    # a file whose fold-continuation layout is not the problem's
+    doc["spdata"]["nu_base"] += 1
+    (tmp_path / "sp1.json").write_text(json.dumps(doc))
+    with pytest.raises(io.IOError_, match="layout"):
+        io.load_point(str(tmp_path), "sp1")
+
+
 def test_no_temp_files_left(run_dir):
     d, _ = run_dir
     assert not [f for f in os.listdir(d) if f.endswith(".tmp")]

@@ -51,6 +51,56 @@ def test_boundary_edges_ccw_and_arclength():
     assert m.edges[-1, 1] == m.edges[0, 0]
 
 
+def test_two_by_one_mesh_written_out():
+    # node ids 0 1 2 on the bottom row, 3 4 5 on the top row
+    m = build_rect_mesh(1.0, 0.5, 2, 1)
+    assert m.triangles.tolist() == [[0, 1, 4], [0, 4, 3], [1, 2, 5], [1, 5, 4]]
+    assert m.edges.tolist() == [[0, 1], [1, 2], [2, 5], [5, 4], [4, 3], [3, 0]]
+    assert m.edge_seg.tolist() == [SEG_BOTTOM, SEG_BOTTOM, SEG_RIGHT,
+                                   SEG_TOP, SEG_TOP, SEG_LEFT]
+    assert m.edge_s.tolist() == [[0, 1], [1, 2], [0, 1], [0, 1], [1, 2],
+                                 [0, 1]]
+    assert m.triangles.dtype == m.edges.dtype == m.edge_seg.dtype == np.int64
+
+
+def _loop_mesh(lx, ly, nx, ny):
+    """triangles, edges, edge_seg and edge_s cell by cell and side by side:
+    the reference for build_rect_mesh's index arrays."""
+    xs, ys = np.linspace(-lx, lx, nx + 1), np.linspace(-ly, ly, ny + 1)
+
+    def nid(ix, iy):
+        return iy * (nx + 1) + ix
+    tris = []
+    for iy in range(ny):
+        for ix in range(nx):
+            n00, n10 = nid(ix, iy), nid(ix + 1, iy)
+            n01, n11 = nid(ix, iy + 1), nid(ix + 1, iy + 1)
+            tris += [(n00, n10, n11), (n00, n11, n01)]
+    sides = (
+        [(nid(ix, 0), nid(ix + 1, 0), SEG_BOTTOM, xs[ix] + lx, xs[ix + 1] + lx)
+         for ix in range(nx)]
+        + [(nid(nx, iy), nid(nx, iy + 1), SEG_RIGHT, ys[iy] + ly,
+            ys[iy + 1] + ly) for iy in range(ny)]
+        + [(nid(ix, ny), nid(ix - 1, ny), SEG_TOP, lx - xs[ix],
+            lx - xs[ix - 1]) for ix in range(nx, 0, -1)]
+        + [(nid(0, iy), nid(0, iy - 1), SEG_LEFT, ly - ys[iy],
+            ly - ys[iy - 1]) for iy in range(ny, 0, -1)])
+    return {"triangles": np.array(tris, dtype=np.int64),
+            "edges": np.array([e[:2] for e in sides], dtype=np.int64),
+            "edge_seg": np.array([e[2] for e in sides], dtype=np.int64),
+            "edge_s": np.array([e[3:] for e in sides])}
+
+
+@pytest.mark.parametrize("nx,ny", [(1, 1), (4, 2), (6, 5), (2, 40), (250, 1),
+                                   (60, 54)])
+def test_index_arrays_equal_the_loops(nx, ny):
+    m = build_rect_mesh(np.pi / 2, 0.3, nx, ny)
+    for name, want in _loop_mesh(np.pi / 2, 0.3, nx, ny).items():
+        got = getattr(m, name)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want), name
+
+
 def test_invalid_arguments():
     with pytest.raises(MeshError):
         build_rect_mesh(-1.0, 1.0, 4, 4)

@@ -12,6 +12,12 @@ from pdecont.mesh import build_rect_mesh
 from pdecont.switching import findbif, swibra
 
 
+def _eigen_count(Gu, M):
+    """Negative eigenvalues of the dense symmetric pencil (Gu, M)."""
+    mu = la.eigh(Gu.toarray(), M.toarray(), eigvals_only=True)
+    return int(np.sum(mu < 0))
+
+
 def _count_fallbacks(monkeypatch):
     calls = []
     orig = linsolve.spectrum_near_zero
@@ -34,22 +40,18 @@ def acfold_run(tmp_path_factory):
     orig = linsolve.stability_index
     orig_tangent = continuation.unit_tangent
 
-    def eigen_count(Gu, M):
-        mu = la.eigh(Gu.toarray(), M.toarray(), eigvals_only=True)
-        return int(np.sum(mu < 0))
-
     def checked(Gu, M, neig=50):
         got = orig(Gu, M, neig)
-        seen.append((got, eigen_count(Gu, M)))
+        seen.append((got, _eigen_count(Gu, M)))
         return got
 
     # every point, a run's first included, takes its index from the
     # tangent's factorization
-    def checked_tangent(state, U, border, f0=None, index=False, factor=False):
-        out = orig_tangent(state, U, border, f0, index, factor)
+    def checked_tangent(state, U, border, f0=None, index=False):
+        out = orig_tangent(state, U, border, f0, index)
         if index:
             Gu = problem.pde_jacobian_u(state, U)
-            seen.append((out[1], eigen_count(Gu, state.ops.M)))
+            seen.append((out[1], _eigen_count(Gu, state.ops.M)))
         return out
 
     with pytest.MonkeyPatch.context() as mp:
@@ -130,6 +132,101 @@ def test_spcontini_kernel_matches_dense_kernel(acfold_run):
     spcont.spcontini(st, 3)
     _, got, _ = spcont.split(st, st.u)
     assert _close_up_to_sign(got, phi, 1e-6)
+
+
+# -- one index path: the tangent's Jacobian, in every mode -------------------
+
+# (ptype, ineg) of every record of the runs below: the index sees the same
+# Gu whether it is assembled on its own or sliced from the Jacobian
+RECORDS = {
+    "switched": [(-2, 1), (0, 1), (0, 1), (0, 1), (0, 1), (1, 0), (2, 0),
+                 (0, 0)],
+    "fold curve": [(-1, 0)] + [(0, 0)] * 8,
+    "schnak": [(-1, 0)] + [(0, 0)] * 7 + [(1, 1), (0, 1)],
+    "schnaktravel": [(-1, 0)] + [(0, 0)] * 5,
+}
+
+
+def _count_lone_gu(monkeypatch):
+    """Calls of problem.pde_jacobian_u outside a residual or a Jacobian, in
+    a one-entry list."""
+    depth, lone = [0], [0]
+
+    def nested(f):
+        def wrapped(*args, **kwargs):
+            depth[0] += 1
+            try:
+                return f(*args, **kwargs)
+            finally:
+                depth[0] -= 1
+        return wrapped
+    gu = problem.pde_jacobian_u
+
+    def counting(*args, **kwargs):
+        if depth[0] == 0:
+            lone[0] += 1
+        return gu(*args, **kwargs)
+    monkeypatch.setattr(problem, "residual", nested(problem.residual))
+    monkeypatch.setattr(problem, "jacobian_active",
+                        nested(problem.jacobian_active))
+    monkeypatch.setattr(problem, "pde_jacobian_u", counting)
+    return lone
+
+
+def _steps(st, n, lone):
+    """n cont steps; the lone Gu assemblies of each accepted one."""
+    per_step = []
+    for _ in range(n):
+        n0, steps0 = lone[0], st.total_steps
+        continuation.cont(st, 1)
+        if st.total_steps > steps0:
+            per_step.append(lone[0] - n0)
+    return per_step
+
+
+def test_switched_branch_keeps_its_records(acfold_run):
+    assert [(r.ptype, r.ineg) for r in acfold_run["switched"]] \
+        == RECORDS["switched"]
+
+
+def test_fold_curve_index_is_the_eigen_count(acfold_run, monkeypatch):
+    # the index of fold continuation comes from the leading block of the
+    # extended Jacobian, with no Gu assembled on its own
+    st = io.load_point(acfold_run["out1"], "fpt1")
+    st.file.dir = ""
+    spcont.spcontini(st, 3)
+    st.sol.ds = 0.05
+    st.switches.bifcheck = 0
+    seen = []
+    orig = continuation.unit_tangent
+
+    def keeping(state, U, border, f0=None, index=False):
+        out = orig(state, U, border, f0, index)
+        if index:
+            seen.append((out[1], np.array(U)))
+        return out
+    monkeypatch.setattr(continuation, "unit_tangent", keeping)
+    lone = _count_lone_gu(monkeypatch)
+    assert _steps(st, 8, lone) == [0] * 8
+    assert [(r.ptype, r.ineg) for r in st.branch] == RECORDS["fold curve"]
+    assert len(seen) == 9
+    for got, U in seen:
+        assert got == _eigen_count(*spcont.base_pde_block(st, U))
+
+
+def test_schnaktravel_index_needs_no_lone_gu(monkeypatch):
+    # nq = 1: the square block is not Gu, and the index is taken from the
+    # Jacobian's leading block
+    st = demos.make("schnaktravel")
+    lone = _count_lone_gu(monkeypatch)
+    assert _steps(st, 5, lone) == [0] * 5
+    assert [(r.ptype, r.ineg) for r in st.branch] == RECORDS["schnaktravel"]
+
+
+def test_schnak_findbif_keeps_its_records():
+    st = demos.make("schnak")
+    findbif(st, 1)
+    assert [(r.ptype, r.ineg) for r in st.branch] == RECORDS["schnak"]
 
 
 # -- the count itself ---------------------------------------------------------

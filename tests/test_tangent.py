@@ -48,6 +48,13 @@ def _stacked(st, U, border):
     return tau / np.sqrt(problem.weighted_dot(st, tau, tau))
 
 
+def _base_block(st):
+    """The base problem's Gu and M at st.u, assembled on their own."""
+    if st.mode == "spcont":
+        return spcont.base_pde_block(st, st.u)
+    return problem.pde_jacobian_u(st, st.u), st.ops.M
+
+
 def _count_blss(monkeypatch):
     calls = []
     orig = linsolve.blss
@@ -67,12 +74,13 @@ def test_elimination_tangent_is_the_stacked_tangent(monkeypatch, name):
         0.5, 1.5, st.nu + st.nq + 1)
     want = _stacked(st, st.u, border)
     calls = _count_blss(monkeypatch)
-    tau, ineg = continuation.unit_tangent(st, st.u, border, index=True)
+    tau, ineg = continuation.unit_tangent(st, st.u, border, index=True)[:2]
     assert calls == []                       # no fallback was needed
     if want @ tau < 0:
         want = -want
     assert np.abs(tau - want).max() <= 1e-10 * np.abs(want).max()
-    assert ineg == continuation.point_ineg(st, st.u)
+    assert ineg == linsolve.stability_index(*_base_block(st),
+                                            st.controls.neig)
 
 
 @pytest.mark.parametrize("name", ["bratu", "bratu near fold", "schnaktravel"])
@@ -81,13 +89,13 @@ def test_singular_factorization_falls_back_to_the_stacked_solve(monkeypatch,
     st = _case(name)
     problem.init_weights(st)
     tau_old = np.ones(st.nu + st.nq + 1)
-    want, want_ineg = continuation.tangent_and_index(st, st.u, tau_old)
+    want, want_ineg = continuation.tangent_and_index(st, st.u, tau_old)[:2]
 
     def singular(A, cache=None):
         raise SingularMatrixError("singular by construction")
     monkeypatch.setattr(linsolve, "factorize_square", singular)
     calls = _count_blss(monkeypatch)
-    tau, ineg = continuation.tangent_and_index(st, st.u, tau_old)
+    tau, ineg = continuation.tangent_and_index(st, st.u, tau_old)[:2]
     assert calls == [1]
     assert np.abs(tau - want).max() <= 1e-10 * np.abs(want).max()
     assert ineg == want_ineg
