@@ -239,7 +239,7 @@ def main(argv=None):
             args.x = header[2]       # first active parameter column
         status = args.func(args)
     except (demos.DemoError, io.IOError_, plot.PlotError,
-            continuation.ContinuationError, switching.SwitchingError,
+            switching.SwitchingError,
             spcont.SpcontError, timeint.TimeintError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

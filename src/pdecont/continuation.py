@@ -12,8 +12,11 @@ same factorization.
 A change of the stability index (bifurcation) or of the sign of the
 tangent's parameter component (fold) between two points is localized at
 the root of a smooth test function by regula falsi in arclength; the
-branch-point test function comes from the same factorization.  Localizing
-falls back to halving the bracket where that test function does not serve.
+branch-point test function comes from the same factorization.  A step that
+changes the index by one and that sign as well crossed a fold only
+(_is_branch_point).  Localizing falls back to halving the bracket where
+that test function does not serve.
+
 A failure the run survives (a corrector failure inside a localization, a
 missed user target, a stop on ds < dsmin) is a RuntimeWarning naming the
 point, and is listed in state.sol.failures.
@@ -38,17 +41,12 @@ from .linsolve import SingularMatrixError
 FOLD_RTOL = 1e-6
 
 
-class ContinuationError(RuntimeError):
-    pass
-
-
 @dataclass
 class BranchRecord:
     count: int
     ptype: int
     pars: list          # active parameter values, primary first
     ineg: int
-    err: float = 0.0    # placeholder, no error estimator wired in
     l2norm: float = 0.0
     usr: int = 0        # 1 when the point is a user-target parameter hit
     user: list = field(default_factory=list)
@@ -416,11 +414,13 @@ def cont(state, nsteps=None):
         old_pt = {"U": state.u.copy(), "tau": tau0, "ineg": state.sol.ineg,
                   "ds": ds}
         new_pt = {"U": U_new, "tau": tau_new, "ineg": ineg_new, "ds": ds}
-        if sw.bifcheck and state.sol.ineg >= 0 and ineg_new != state.sol.ineg:
+        fold = _lam_sign(tau_new) * _lam_sign(tau0) < 0
+        if (sw.bifcheck and state.sol.ineg >= 0
+                and _is_branch_point(ineg_new - state.sol.ineg, fold)):
             loc = bisect_special_point(state, old_pt, new_pt, "bifurcation")
             state.file.bcount += 1
             _record_special(state, loc, 1, f"bpt{state.file.bcount}")
-        if sw.foldcheck and _lam_sign(tau_new) * _lam_sign(tau0) < 0:
+        if sw.foldcheck and fold:
             loc = bisect_special_point(state, old_pt, new_pt, "fold")
             state.file.fcount += 1
             _record_special(state, loc, 2, f"fpt{state.file.fcount}")
@@ -446,6 +446,20 @@ def cont(state, nsteps=None):
         if not (nc.lammin <= state.primary_value <= nc.lammax):
             return state
     return state
+
+
+def _is_branch_point(jump, fold):
+    """Whether a step whose index changed by jump crossed a branch point.
+
+    The bordered determinant det[[Gu, G_alpha], [tau^T]] changes sign at a
+    branch point but not at a fold (Keller 1977).  It is det(Gu) times the
+    Schur complement, whose sign is that of tau's alpha component, and
+    sign det(Gu) = (-1)^ineg: so a jump of 1 together with a sign change of
+    tau's alpha component is a fold alone.  A jump of 2 or more (a complex
+    pair, or a fold and a branch point in one step) is still localized as
+    a branch point.
+    """
+    return jump != 0 and not (abs(jump) == 1 and fold)
 
 
 def _lam_sign(tau):

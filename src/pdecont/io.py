@@ -1,12 +1,20 @@
 """Point-file persistence and branch CSV export.
 
-Point files are self-describing JSON: a header (format version, demo name
-and config, mesh/problem bookkeeping, the branch so far) plus the payload
-arrays u, tau and uold.  Format 2, which save_point writes, stores each
-payload as the base64 string of its little-endian float64 bytes ('<f8',
-whatever the host's byte order), so a point round-trips bit for bit; an
-absent tau or uold is null.  Format 1 files, whose payloads are JSON lists
-of floats, still load.  Operator caches and fill/drop matrices are never
+A point file holds one point as self-describing JSON: a header (format
+version, demo name and config, periodization, active parameters and
+layout, ptype, counters, usrlam, ds, ineg) plus the payload arrays u, tau
+and uold.  Each fact is stored once: the model time is config["time"], and
+the fold-continuation mode follows from spcont.  A run's history is its
+branch list, which export_branch writes as CSV; no point file holds it.
+So a loaded state starts with an empty branch list, and the next cont
+records the loaded point as its first entry.
+
+Format 2, which save_point writes, stores each payload as the base64 string
+of its little-endian float64 bytes ('<f8', whatever the host's byte order),
+so a point round-trips bit for bit; an absent tau or uold is null.  Format 1
+files, whose payloads are JSON lists of floats, still load, and so do older
+files of either format that also carry branch, mode, time or err_column;
+those keys are ignored.  Operator caches and fill/drop matrices are never
 serialized; the loader rebuilds them through the demo registry, so a loaded
 point evaluates identically to the saved one.
 """
@@ -65,10 +73,12 @@ _DECODERS = {1: _decode_v1, 2: _decode_v2}
 
 def save_point(state, name):
     """Write <dir>/<name>.json atomically (write-temp-rename), in one write
-    of one json.dumps."""
+    of one json.dumps, and return its path; name may hold a subdirectory,
+    which is created."""
     if not state.file.dir:
         raise IOError_("no output directory set")
-    os.makedirs(state.file.dir, exist_ok=True)
+    path = os.path.join(state.file.dir, f"{name}.json")
+    os.makedirs(os.path.dirname(path), exist_ok=True)
     doc = {
         "format": FORMAT_VERSION,
         "demo": state.name,
@@ -78,7 +88,6 @@ def save_point(state, name):
         "ilam": list(map(int, state.ilam)),
         "nq": int(state.nq),
         "ptype": int(state.ptype),
-        "mode": state.mode,
         "spdata": state.spdata,
         "spcont": int(state.switches.spcont),
         "counters": {"count": state.file.count, "bcount": state.file.bcount,
@@ -87,14 +96,10 @@ def save_point(state, name):
         "usrlam": [float(v) for v in state.usrlam],
         "ds": float(state.sol.ds),
         "ineg": int(state.sol.ineg),
-        "time": float(state.demo_config.get("time", 0.0)),
-        "err_column": "unset (no error estimator)",
         "u": _encode(state.u),
         "tau": _encode(state.tau),
         "uold": _encode(state.uold),
-        "branch": [rec.__dict__ for rec in state.branch],
     }
-    path = os.path.join(state.file.dir, f"{name}.json")
     tmp = path + ".tmp"
     with open(tmp, "wb") as fh:
         fh.write(json.dumps(doc).encode())
@@ -103,9 +108,9 @@ def save_point(state, name):
 
 
 def load_point(directory, name):
-    """Rebuild a ProblemState from a point file via the demo registry."""
+    """Rebuild a ProblemState from a point file via the demo registry; its
+    branch list starts empty."""
     from . import demos
-    from .continuation import BranchRecord
 
     path = os.path.join(directory, name if name.endswith(".json")
                         else f"{name}.json")
@@ -126,8 +131,7 @@ def load_point(directory, name):
         problem.setfemops(state)
 
     state.switches.spcont = int(doc["spcont"])
-    state.mode = doc["mode"]
-    # spdata follows from mode and the periodization, so it is only checked
+    # spdata follows from spcont and the periodization, so it is only checked
     spd = doc["spdata"]
     if spd is not None:
         spd = {"nu_base": spd["nu_base"]}    # older files add old_primary
@@ -149,7 +153,6 @@ def load_point(directory, name):
     state.u = u
     state.tau, state.uold = (None if doc[k] is None else decode(doc[k])
                              for k in ("tau", "uold"))
-    state.branch = [BranchRecord(**rec) for rec in doc["branch"]]
     state.file.dir = directory
     return state
 
@@ -160,7 +163,7 @@ def load_point(directory, name):
 def branch_header(state):
     parcols = [state.parnames[i - 1] for i in state.ilam]
     return (["count", "ptype"] + list(parcols)
-            + ["ineg", "err", "l2norm", "usr"] + list(state.callbacks.outnames))
+            + ["ineg", "l2norm", "usr"] + list(state.callbacks.outnames))
 
 
 def export_branch(state, path=None):
@@ -171,8 +174,7 @@ def export_branch(state, path=None):
     for rec in state.branch:
         cells = ([str(rec.count), str(rec.ptype)]
                  + [repr(v) for v in rec.pars]
-                 + [str(rec.ineg), repr(rec.err), repr(rec.l2norm),
-                    str(rec.usr)]
+                 + [str(rec.ineg), repr(rec.l2norm), str(rec.usr)]
                  + [repr(v) for v in rec.user])
         lines.append(",".join(cells))
     text = "\n".join(lines) + "\n"

@@ -176,7 +176,12 @@ class ProblemState:
     ptype: int = -1
     total_steps: int = 0
     demo_config: dict = field(default_factory=dict)
-    mode: str = "normal"                 # "normal" or "spcont"
+
+    @property
+    def mode(self) -> str:
+        """"spcont" in fold or branch-point continuation (switches.spcont 1
+        or 2), else "normal"."""
+        return "spcont" if self.switches.spcont in (1, 2) else "normal"
 
     @property
     def spdata(self) -> Optional[dict]:

@@ -25,11 +25,12 @@ class SpcontError(RuntimeError):
 def base_view(state):
     """Temporarily expose the state as its normal (non-extended) problem so
     the base residual/Jacobian callbacks can be evaluated."""
-    state.mode = "normal"
+    flavor = state.switches.spcont
+    state.switches.spcont = 0
     try:
         yield
     finally:
-        state.mode = "spcont"
+        state.switches.spcont = flavor
 
 
 def split(state, U):
@@ -135,7 +136,6 @@ def spcontini(state, extra_param_index, kerneltol=1e-2):
     nb = state.nu
     old_primary = state.ilam[0]
     state.u = np.concatenate([state.u[:nb], phi, state.u[nb:]])
-    state.mode = "spcont"
     state.nq = 1
     state.ilam = [extra, old_primary]
     state.switches.spcont = 2 if state.ptype == 2 else 1
@@ -151,7 +151,6 @@ def spcontexit(state, primary_param_index=None):
     nb = state.ops.per.nu_per
     primary = int(primary_param_index) if primary_param_index else state.ilam[1]
     state.u = np.concatenate([state.u[:nb], state.u[2 * nb:]])
-    state.mode = "normal"
     state.nq = 0
     state.ilam = [primary]
     state.switches.spcont = 0

@@ -12,9 +12,11 @@ and the step failures for both.  Neither has error or stepsize control.
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 
-from . import linsolve, problem
+from . import io, linsolve, problem
 
 
 class TimeintError(RuntimeError):
@@ -94,12 +96,5 @@ def _record(state, t, diagnostics):
         res = float(np.linalg.norm(problem.residual(state, state.u), np.inf))
         state.timeseries.append((t, res))
     if state.file.dir:
-        from . import io as _io
-        import os
-        sub = os.path.join(state.file.dir, "pre")
-        old = state.file.dir
-        state.file.dir = sub
-        try:
-            _io.save_point(state, f"pt{len(state.timeseries) - 1}")
-        finally:
-            state.file.dir = old
+        io.save_point(state, os.path.join("pre",
+                                          f"pt{len(state.timeseries) - 1}"))

@@ -301,12 +301,11 @@ HALVING = {
     "bratu": (
         [(-1, 0), (0, 0), (0, 0), (0, 0), (0, 0), (0, 0), (0, 0), (0, 0),
          (0, 0), (0, 0), (0, 0), (0, 0), (0, 0), (0, 0), (0, 0), (0, 0),
-         (0, 0), (0, 0), (0, 0), (0, 0), (0, 0), (0, 0), (1, 1), (2, 1),
-         (0, 1), (0, 1), (1, 2), (0, 3), (0, 3), (1, 4), (0, 4), (0, 4),
-         (0, 4), (0, 4), (1, 6), (0, 6), (0, 6), (1, 7), (0, 7), (1, 8),
-         (0, 8), (0, 8), (0, 8), (0, 8), (0, 8), (0, 8), (1, 9), (0, 9),
-         (0, 9)],
-        [0.3678794408176864, 0.3678794408176864, 0.3661814824776586,
+         (0, 0), (0, 0), (0, 0), (0, 0), (0, 0), (0, 0), (2, 1), (0, 1),
+         (0, 1), (1, 2), (0, 3), (0, 3), (1, 4), (0, 4), (0, 4), (0, 4),
+         (0, 4), (1, 6), (0, 6), (0, 6), (1, 7), (0, 7), (1, 8), (0, 8),
+         (0, 8), (0, 8), (0, 8), (0, 8), (0, 8), (1, 9), (0, 9), (0, 9)],
+        [0.3678794408176864, 0.3661814824776586,
          0.3613731927968541, 0.34463975080758663, 0.33369756857548355,
          0.33246801998795444, 0.2913960563813778]),
 }

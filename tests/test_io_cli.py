@@ -10,8 +10,10 @@ from hypothesis import given, settings, strategies as hst
 
 from pdecont import cli, demos, io, plot, problem, spcont
 from pdecont.continuation import cont
+from pdecont.timeint import tint
 
 V1_DIR = Path(__file__).parent / "data" / "v1_bratu"
+V2_DIR = Path(__file__).parent / "data" / "v2_bratu"
 
 
 def _read_json(path):
@@ -37,8 +39,6 @@ def test_save_load_roundtrip_bit_exact(run_dir):
     assert st2.ilam == st.ilam
     assert st2.file.count == st.file.count
     assert st2.sol.ds == st.sol.ds
-    assert len(st2.branch) == len(st.branch)
-    assert st2.branch[-1].l2norm == st.branch[-1].l2norm
     # the rebuilt state evaluates the same residual bit-for-bit
     assert np.array_equal(problem.residual(st2), problem.residual(st))
 
@@ -124,8 +124,7 @@ def test_v1_point_file_loads_bit_exactly(tmp_path):
     st = io.load_point(str(V1_DIR), "pt3")
     for key in PAYLOAD:
         assert np.array_equal(_bits(getattr(st, key)), _bits(doc[key]))
-    assert st.file.count == 3 and len(st.branch) == 4
-    assert st.branch[-1].l2norm == doc["branch"][-1]["l2norm"]
+    assert st.file.count == 3
     # a converged point, rewritten in the current format without a change
     assert np.abs(problem.residual(st)).max() < 1e-8
     st.file.dir = str(tmp_path)
@@ -134,6 +133,88 @@ def test_v1_point_file_loads_bit_exactly(tmp_path):
     st2 = io.load_point(str(tmp_path), "pt3")
     for key in PAYLOAD:
         assert np.array_equal(_bits(getattr(st2, key)), _bits(doc[key]))
+
+
+# keys that point files no longer carry: the branch lives in branch.csv, the
+# model time in config["time"], the mode follows from spcont
+REMOVED_KEYS = {"branch", "err_column", "time", "mode"}
+
+
+def test_v2_point_file_with_an_embedded_branch_loads_bit_exactly(tmp_path):
+    # pt3.json was written by format 2 while point files still carried the
+    # branch, time, err_column and mode: bratu 6x6, cont(3)
+    doc = _read_json(V2_DIR / "pt3.json")
+    assert doc["format"] == 2
+    assert REMOVED_KEYS <= set(doc)
+    st = io.load_point(str(V2_DIR), "pt3")
+    for key in PAYLOAD:
+        want = np.frombuffer(base64.b64decode(doc[key]), "<f8")
+        assert np.array_equal(_bits(getattr(st, key)), _bits(want))
+    assert st.file.count == 3 and st.branch == [] and st.mode == "normal"
+    assert np.abs(problem.residual(st)).max() < 1e-8
+    st.file.dir = str(tmp_path)
+    new = _read_json(io.save_point(st, "pt3"))
+    assert not REMOVED_KEYS & set(new)
+    assert {k: v for k, v in doc.items() if k not in REMOVED_KEYS} == new
+
+
+def test_point_files_grow_linearly_with_the_run(tmp_path):
+    st = demos.make("bratu", {"nx": 10, "ny": 10})
+    st.file.dir = str(tmp_path)
+    cont(st, 60)
+    sizes = [p.stat().st_size for p in tmp_path.glob("*.json")]
+    assert len(sizes) == len(st.branch) > 60
+    assert max(sizes) <= 1.01 * min(sizes)
+
+
+def test_no_written_file_stores_a_fact_twice(tmp_path):
+    st = demos.make("schnak")
+    st.file.dir = str(tmp_path)
+    cont(st, 2)
+    tint(st, 0.05, 2, pmod=1)
+    assert st.demo_config["time"] > 0
+    spcont.spcontini(st, 2, kerneltol=np.inf)
+    io.save_point(st, "sp0")
+    files = list(tmp_path.rglob("*.json"))
+    assert len(files) == 3 + 3 + 1
+    for path in files:
+        doc = _read_json(path)
+        assert not REMOVED_KEYS & set(doc), path.name
+    # the model time is read back from the config, the mode from spcont
+    st2 = io.load_point(str(tmp_path / "pre"), "pt2")
+    assert st2.demo_config["time"] == st.demo_config["time"]
+    st3 = io.load_point(str(tmp_path), "sp0")
+    assert st3.mode == "spcont" and st3.switches.spcont == 1
+
+
+def test_mode_follows_spcont_and_is_not_settable():
+    st = demos.make("bratu", {"nx": 4, "ny": 4})
+    with pytest.raises(AttributeError):
+        st.mode = "spcont"
+    for flavor, mode in ((0, "normal"), (1, "spcont"), (2, "spcont")):
+        st.switches.spcont = flavor
+        assert st.mode == mode
+        with spcont.base_view(st):
+            assert st.mode == "normal"
+        assert st.switches.spcont == flavor
+
+
+def test_loaded_point_starts_the_new_branch(tmp_path):
+    a, b = str(tmp_path / "A"), str(tmp_path / "B")
+    assert cli.main(["run", "bratu", "--steps", "3", "--out", a]) == 0
+    before = {p: p.read_bytes() for p in Path(a).iterdir()}
+    assert cli.main(["swipar", a, "pt3", "--ilam", "2", "--steps", "2",
+                     "--out", b]) == 0
+    assert {p: p.read_bytes() for p in Path(a).iterdir()} == before
+    header, rows = io.read_branch_csv(os.path.join(b, "branch.csv"))
+    assert header[:3] == ["count", "ptype", "c"] and "err" not in header
+    assert [row[0] for row in rows] == [3, 4, 5]
+    # the first row is the loaded point, as A's branch.csv recorded it
+    _, rows_a = io.read_branch_csv(os.path.join(a, "branch.csv"))
+    i = header.index("l2norm")
+    assert rows[0][i] == rows_a[-1][i]
+    assert sorted(os.listdir(b)) == ["branch.csv", "pt3.json", "pt4.json",
+                                     "pt5.json"]
 
 
 _SPECIAL = [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072009e-308, -1e-310,
@@ -248,7 +329,7 @@ def test_cli_run_and_check(tmp_path):
 
 @pytest.mark.parametrize("argv, point", [
     (["findbif", "acfold", "--nbif", "1"], "bpt1"),
-    (["run", "bratu", "--steps", "25", "--ds", "0.05"], "bpt1")])
+    (["run", "bratu", "--steps", "25", "--ds", "0.05"], "fpt1")])
 def test_cli_writes_outputs_then_fails_on_a_swallowed_failure(
         tmp_path, monkeypatch, capsys, argv, point):
     from pdecont import continuation

@@ -139,8 +139,7 @@ def test_spcontini_kernel_matches_dense_kernel(acfold_run):
 # (ptype, ineg) of every record of the runs below: the index sees the same
 # Gu whether it is assembled on its own or sliced from the Jacobian
 RECORDS = {
-    "switched": [(-2, 1), (0, 1), (0, 1), (0, 1), (0, 1), (1, 0), (2, 0),
-                 (0, 0)],
+    "switched": [(-2, 1), (0, 1), (0, 1), (0, 1), (0, 1), (2, 0), (0, 0)],
     "fold curve": [(-1, 0)] + [(0, 0)] * 8,
     "schnak": [(-1, 0)] + [(0, 0)] * 7 + [(1, 1), (0, 1)],
     "schnaktravel": [(-1, 0)] + [(0, 0)] * 5,
@@ -187,6 +186,31 @@ def _steps(st, n, lone):
 def test_switched_branch_keeps_its_records(acfold_run):
     assert [(r.ptype, r.ineg) for r in acfold_run["switched"]] \
         == RECORDS["switched"]
+
+
+# -- a fold is not also a branch point ----------------------------------------
+
+def _special(branch):
+    return [(r.ptype, r.ineg, r.pars[0]) for r in branch if r.ptype > 0]
+
+
+def test_a_fold_is_not_also_reported_as_a_branch_point(acfold_run):
+    # at a fold ineg changes by 1 and tau's lambda component changes sign;
+    # the bordered determinant keeps its sign there (Keller 1977), so the
+    # step is a fold alone, with the fold check on or off
+    (ptype, ineg, lam), = _special(acfold_run["switched"])
+    assert (ptype, ineg) == (2, 0) and abs(lam - 1.1897531771895147) < 1e-9
+    for foldcheck in (1, 0):
+        st = demos.make("bratu", {"nx": 20, "ny": 20})
+        st.switches.foldcheck = foldcheck
+        continuation.cont(st, 25)
+        got = _special(st.branch)
+        # the fold, if checked, then the genuine branch point, ineg 1 -> 2
+        want = [(2, 1), (1, 2)] if foldcheck else [(1, 2)]
+        assert [p[:2] for p in got] == want
+        assert abs(got[-1][2] - 0.36619133057887165) < 1e-9
+        if foldcheck:
+            assert abs(got[0][2] - np.exp(-1.0)) < 1e-9
 
 
 def test_fold_curve_index_is_the_eigen_count(acfold_run, monkeypatch):
