@@ -149,7 +149,8 @@ class OperatorCache:
     Fload: Optional[sp.csc_matrix] = None     # load of tri values: Mtl, rows reduced
     Ctri: Optional[sp.csc_matrix] = None      # tri means: C, columns reduced
     per: Optional[Periodization] = None
-    # counts the LU factorizations of the correctors, tangents and tints
+    # counts the LU factorizations of the correctors, tangents, tint and
+    # tints; not the tangent's blss fallback nor stability_index's own LU
     cache: linsolve.FactorCache = field(default_factory=linsolve.FactorCache)
 
 

@@ -74,15 +74,21 @@ def extended_pde_jacobian_u(state, U):
 
 
 def _fd_second_block(state, U, Gu):
-    """Forward differences of the Jacobian-vector product d_u G * phi."""
-    u, phi, w = split(state, U)
+    """d_u((d_u G) phi) from one shifted Jacobian: (G_u(u + del phi, w) - Gu)
+    / del, with Gu the base Jacobian at (u, w) and del = controls.del_.
 
-    def jvp(Ub):
-        with base_view(state):
-            return problem.pde_jacobian_u(state, Ub) @ phi
-    return sp.csc_matrix(problem.fd_columns(
-        jvp, np.concatenate([u, w]), range(len(u)), state.controls.del_,
-        f0=Gu @ phi))
+    Premise: Gu is G's exact Jacobian (fem.jaccheck checks it; the kernel
+    condition Gu phi = 0 rests on it too).  The second derivatives of G are
+    then symmetric, so d_u(Gu phi) equals the derivative of Gu in the
+    direction phi, and one assembly gives the whole block.  With
+    switches.jac = 0 Gu is itself a forward difference, and this is a
+    difference of differences.
+    """
+    u, phi, w = split(state, U)
+    with base_view(state):
+        Gd = problem.pde_jacobian_u(
+            state, np.concatenate([u + state.controls.del_ * phi, w]))
+    return ((Gd - Gu) / state.controls.del_).tocsc()
 
 
 def extended_aux_jacobian_u(state, U):
@@ -119,6 +125,9 @@ def spcontini(state, extra_param_index, kerneltol=1e-2):
     extra = int(extra_param_index)
     if not 1 <= extra <= state.naux:
         raise SpcontError(f"parameter index {extra} out of range")
+    if extra == state.ilam[0]:
+        raise SpcontError(f"parameter {extra} is already the primary; the "
+                          "extra parameter must be another one")
 
     Gu = problem.pde_jacobian_u(state, state.u)
     spec = linsolve.spectrum_near_zero(Gu, state.ops.M,
@@ -163,8 +172,9 @@ def spcontexit(state, primary_param_index=None):
 
 def spjac_check(state, u=None, phi=None):
     """Max-entry difference between the second-derivative block derived from
-    the semilinear declaration and forward differences of d_u G phi, on a
-    normal-mode state."""
+    the semilinear declaration and _fd_second_block, the forward difference
+    fold continuation falls back on, on a normal-mode state at u (default
+    state.u) in the direction phi (default M 1, M-normalized)."""
     if state.callbacks.semilinear is None:
         raise SpcontError("no semilinear declaration to derive the "
                           "second-derivative block from")
@@ -175,8 +185,7 @@ def spjac_check(state, u=None, phi=None):
     if phi is None:
         x = state.ops.M @ np.ones(nb)
         phi = x / np.sqrt(abs(x @ (state.ops.M @ x)))
-    S = problem.semilinear_second_block(state, U[:nb], phi, U[nb:]).toarray()
+    S = problem.semilinear_second_block(state, U[:nb], phi, U[nb:])
     Gu = problem.pde_jacobian_u(state, U)
-    Sn = problem.fd_columns(lambda V: problem.pde_jacobian_u(state, V) @ phi,
-                            U, range(nb), state.controls.del_, f0=Gu @ phi)
-    return float(np.max(np.abs(S - Sn)))
+    Sn = _fd_second_block(state, np.concatenate([U[:nb], phi, U[nb:]]), Gu)
+    return float(abs(S - Sn).max())

@@ -29,6 +29,7 @@ def tint(state, dt, nt, pmod=10):
     assembled matrix term (diffusion, reaction, advection, boundary) and F
     the load and boundary-source terms.  Records the residual time series
     every pmod steps and writes snapshots when an output directory is set.
+    Each step's LU is counted in state.ops.cache.
     """
     M, w = state.ops.M, state.pars()
 
@@ -36,7 +37,8 @@ def tint(state, dt, nt, pmod=10):
         U = np.concatenate([u, w])
         A, F = problem.assemble_general(state, U, state.callbacks.G(state, U),
                                         state.callbacks.bc)
-        return linsolve.lss(M + dt * A, M @ u + dt * F)
+        lu = state.ops.cache.factorize(M + dt * A)
+        return linsolve.solve(lu, M @ u + dt * F)
     return _march(state, dt, nt, pmod, step)
 
 
@@ -73,11 +75,12 @@ def tints(state, dt, nt, pmod, forcing=None, K=None, diagnostics=True):
 def _march(state, dt, nt, pmod, step, diagnostics=True):
     """nt steps u <- step(u) from the state's u, written back into state.u
     after each; the model time advances by dt.  Records at the start, every
-    pmod steps and at the end; a failed or non-finite solve is a
-    TimeintError."""
+    pmod steps and at the end, numbered from 0 within the call; a failed or
+    non-finite solve is a TimeintError."""
     u = np.array(state.u[:state.nu], dtype=float)
     t = float(state.demo_config.get("time", 0.0))
-    _record(state, t, diagnostics)
+    k = 0
+    _record(state, t, k, diagnostics)
     for n in range(1, nt + 1):
         try:
             u = step(u)
@@ -87,14 +90,16 @@ def _march(state, dt, nt, pmod, step, diagnostics=True):
         state.u[:state.nu] = u
         state.demo_config["time"] = t
         if n % pmod == 0 or n == nt:
-            _record(state, t, diagnostics)
+            k += 1
+            _record(state, t, k, diagnostics)
     return state
 
 
-def _record(state, t, diagnostics):
+def _record(state, t, k, diagnostics):
+    """Append (t, ||G||_inf) to state.timeseries when diagnostics are on, and
+    write snapshot k to pre/pt{k} when an output directory is set."""
     if diagnostics:
         res = float(np.linalg.norm(problem.residual(state, state.u), np.inf))
         state.timeseries.append((t, res))
     if state.file.dir:
-        io.save_point(state, os.path.join("pre",
-                                          f"pt{len(state.timeseries) - 1}"))
+        io.save_point(state, os.path.join("pre", f"pt{k}"))

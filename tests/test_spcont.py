@@ -34,6 +34,16 @@ def test_spcontini_parameter_validation(fold_state):
         spcontini(st, 99)
 
 
+def test_spcontini_rejects_the_primary_as_extra_parameter():
+    st = demos.make("bratu", {"nx": 8, "ny": 8})
+    u0, ilam0, nq0 = np.array(st.u), list(st.ilam), st.nq
+    with pytest.raises(SpcontError):
+        spcontini(st, st.ilam[0], kerneltol=np.inf)
+    assert np.array_equal(st.u, u0)
+    assert st.ilam == ilam0 and st.nq == nq0
+    assert st.switches.spcont == 0
+
+
 def test_spcontini_layout_and_normalization(fold_state):
     import copy
     st = copy.deepcopy(fold_state)
@@ -105,10 +115,49 @@ def test_analytic_second_block_matches_fd(fold_state):
     assert abs(J_an - J_fd).max() <= 1e-5 * max(1.0, abs(J_an).max())
 
 
-@pytest.mark.parametrize("demo", ["acfold", "schnak", "bratu", "acfront"])
-def test_spjac_check_all_providers(demo):
+SEMILINEAR_DEMOS = ["acfold", "schnak", "bratu", "acfront"]
+
+
+# u gets seed-0 noise of standard deviation scale, as demos.perturb adds.
+# At the default states (scale 0) acfold and bratu have a second block of
+# exactly 0, so the check proves something there only when perturbed.
+# schnak's Gu has entries up to 342: at scale 0.1 a column-by-column
+# difference of Gu phi read 1.04e-5 on a correct declaration
+@pytest.mark.parametrize("demo, scale", [
+    *(pytest.param(d, 0.0, id=d) for d in SEMILINEAR_DEMOS),
+    *(pytest.param(d, demos.PERTURB_SCALE, id=f"{d}-perturb")
+      for d in SEMILINEAR_DEMOS),
+    pytest.param("schnak", 0.1, id="schnak-noise0.1")])
+def test_spjac_check_all_providers(demo, scale):
     st = demos.make(demo)
+    st.u = st.u + scale * np.random.default_rng(0).standard_normal(len(st.u))
     assert spjac_check(st) <= 1e-5
+
+
+@pytest.mark.parametrize("demo", ["schnak", "acfront"])
+def test_spjac_check_sees_a_scaled_fuu(demo, monkeypatch):
+    st = demos.perturb(demos.make(demo))
+    sl = st.callbacks.semilinear
+    fuu = sl.fuu
+    monkeypatch.setattr(sl, "fuu", lambda u, p, w: 1.1 * fuu(u, p, w))
+    assert spjac_check(st) > 1e-5
+
+
+def test_fd_second_block_assembles_one_jacobian(monkeypatch):
+    st = demos.perturb(demos.make("acfold", {"nx": 10, "ny": 9}))
+    nb = st.nu
+    u, w = st.u[:nb], st.u[nb:]
+    phi = np.random.default_rng(1).standard_normal(nb)
+    Gu = problem.pde_jacobian_u(st, st.u)
+    calls = []
+    jac = problem.pde_jacobian_u
+
+    def counted(state, U):
+        calls.append(1)
+        return jac(state, U)
+    monkeypatch.setattr(problem, "pde_jacobian_u", counted)
+    spcont._fd_second_block(st, np.concatenate([u, phi, w]), Gu)
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("demo, config", [("acfold", {"nx": 10, "ny": 9}),

@@ -183,3 +183,18 @@ def test_snapshots_written(tmp_path):
     assert pre.is_dir()
     assert sorted(p.name for p in pre.iterdir()) == \
         ["pt0.json", "pt1.json", "pt2.json"]
+
+
+def test_snapshots_numbered_without_diagnostics(tmp_path):
+    st = demos.make("acfold", {"nx": 6, "ny": 5})
+    st.file.dir = str(tmp_path)
+    tints(st, 0.01, 4, 1, diagnostics=False)
+    assert sorted(p.name for p in (tmp_path / "pre").iterdir()) == \
+        [f"pt{k}.json" for k in range(5)]
+
+
+def test_tint_counts_one_factorization_per_step():
+    st = demos.make("acfold", {"nx": 6, "ny": 5})
+    before = st.ops.cache.factor_count
+    tint(st, 0.01, 5, pmod=5)
+    assert st.ops.cache.factor_count == before + 5
