@@ -154,7 +154,7 @@ def unit_tangent(state, U, border, f0=None, index=False):
     except SingularMatrixError:
         pass
     if z is None or np.abs(z).max(initial=0.0) * FOLD_RTOL >= 1.0:
-        tau = linsolve.blss(J, border, 1.0, np.zeros(n))
+        tau = linsolve.blss(J, border, 1.0, np.zeros(n), state.ops.cache)
     else:
         tau = np.append(-z, 1.0)
     tau = tau / np.sqrt(problem.weighted_dot(state, tau, tau))
@@ -163,7 +163,7 @@ def unit_tangent(state, U, border, f0=None, index=False):
     elif ineg is None or state.nq:
         nb = state.ops.per.nu_per
         ineg = linsolve.stability_index(J[:nb, :nb], state.ops.M,
-                                        state.controls.neig)
+                                        state.controls.neig, state.ops.cache)
     return tau, ineg, None if z is None else (A0, lu)
 
 

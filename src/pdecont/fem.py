@@ -198,22 +198,6 @@ def load_operator(mesh: Mesh, neq: int = 1) -> sp.csc_matrix:
     return _blockdiag(M1, neq)
 
 
-def tri_diag_operator(fu: np.ndarray, neq: int) -> sp.csc_matrix:
-    """Block matrix of per-triangle multipliers: block (r,s) = diag(fu[:,r,s]);
-    maps component-blocked triangle values to triangle values."""
-    nt = fu.shape[0]
-    if neq == 1:
-        return sp.diags(fu[:, 0, 0]).tocsc()
-    grid = [[sp.diags(fu[:, r, s]) if np.any(fu[:, r, s]) else None
-             for s in range(neq)] for r in range(neq)]
-    if all(blk is None for row in grid for blk in row):
-        return sp.csc_matrix((neq * nt, neq * nt))
-    for r in range(neq):
-        if grid[r][r] is None:
-            grid[r][r] = sp.csc_matrix((nt, nt))
-    return sp.bmat(grid, format="csc")
-
-
 def interp_operator(mesh: Mesh, neq: int = 1) -> sp.csc_matrix:
     """Sparse C with (C v)_t = mean of nodal v over the vertices of t."""
     n, nt = mesh.npoints, mesh.ntri

@@ -71,12 +71,14 @@ def solve(lu, rhs: np.ndarray, trans: str = "N") -> np.ndarray:
     return x
 
 
-def lss(A: sp.spmatrix, rhs: np.ndarray) -> np.ndarray:
-    """Solve A x = rhs by one sparse LU with partial pivoting."""
+def lss(A: sp.spmatrix, rhs: np.ndarray,
+        cache: FactorCache | None = None) -> np.ndarray:
+    """Solve A x = rhs by one sparse LU with partial pivoting, counted in
+    cache (a fresh one when None)."""
     rhs = np.asarray(rhs, dtype=float)
     if A.shape[0] != A.shape[1] or A.shape[0] != rhs.shape[0]:
         raise ValueError(f"shape mismatch: A {A.shape}, rhs {rhs.shape}")
-    return solve(FactorCache().factorize(A), rhs)
+    return solve((cache or FactorCache()).factorize(A), rhs)
 
 
 def bordered(A: sp.csc_matrix, row: np.ndarray) -> sp.csc_matrix:
@@ -93,12 +95,13 @@ def bordered(A: sp.csc_matrix, row: np.ndarray) -> sp.csc_matrix:
 
 
 def blss(A: sp.spmatrix, border_row: np.ndarray, border_rhs: float,
-         rhs: np.ndarray) -> np.ndarray:
-    """Solve [[A], [border_row^T]] x = (rhs, border_rhs), A n x (n+1)."""
+         rhs: np.ndarray, cache: FactorCache | None = None) -> np.ndarray:
+    """Solve [[A], [border_row^T]] x = (rhs, border_rhs), A n x (n+1), by
+    lss with cache."""
     n = A.shape[0]
     if A.shape[1] != n + 1 or len(border_row) != n + 1 or len(rhs) != n:
         raise ValueError("bordered system dimensions inconsistent")
-    return lss(bordered(A, border_row), np.append(rhs, border_rhs))
+    return lss(bordered(A, border_row), np.append(rhs, border_rhs), cache)
 
 
 def factorize_square(A: sp.spmatrix, cache: FactorCache | None = None):
@@ -151,16 +154,18 @@ def checked_solve(lu, A: sp.spmatrix, b: np.ndarray) -> np.ndarray:
     return x
 
 
-def stability_index(Gu: sp.spmatrix, M: sp.spmatrix, neig: int = 50) -> int:
+def stability_index(Gu: sp.spmatrix, M: sp.spmatrix, neig: int = 50,
+                    cache: FactorCache | None = None) -> int:
     """Number of eigenvalues of Gu v = mu M v (M SPD) with negative real part.
 
     Symmetric Gu: the exact count, not capped by neig.  By Sylvester's law of
     inertia it is the number of negative pivots of factorize_square's
     symmetric-mode LU, P Gu P^T = L D L^T.  Otherwise (nonsymmetric Gu, or
     that LU refused) it is spectrum_near_zero's count among the neig
-    eigenvalues nearest zero.
+    eigenvalues nearest zero.  The LU is counted in cache (a fresh one when
+    None).
     """
-    factored = _inertia_lu(Gu.tocsc(), FactorCache())
+    factored = _inertia_lu(Gu.tocsc(), cache or FactorCache())
     if factored is not None:
         return factored[1]
     return spectrum_near_zero(Gu, M, neig)["ineg"]

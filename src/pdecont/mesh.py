@@ -70,20 +70,27 @@ class Mesh:
         return self._grads
 
     def p1_pattern(self) -> tuple:
-        """CSC pattern of the P1 node graph, (indptr, indices, slot): entry
-        (i, j) of triangle t's element matrix, which couples nodes
-        triangles[t, i] and triangles[t, j], sums into data[slot[t, i, j]]."""
+        """The mesh's p1_pattern(triangles, npoints), computed once."""
         if self._pattern is None:
-            n, tri = self.npoints, self.triangles
-            rows = np.repeat(tri, 3, axis=1).ravel()
-            cols = np.tile(tri, (1, 3)).ravel()
-            keys, slot = np.unique(cols * n + rows, return_inverse=True)
-            indptr = np.searchsorted(keys, np.arange(n + 1) * n)
-            # 32-bit where it fits, as scipy.sparse stores its indices
-            idx = np.int32 if len(keys) <= np.iinfo(np.int32).max else np.int64
-            self._pattern = (indptr.astype(idx), (keys % n).astype(idx),
-                             slot.astype(idx).reshape(self.ntri, 3, 3))
+            self._pattern = p1_pattern(self.triangles, self.npoints)
         return self._pattern
+
+
+def p1_pattern(triangles: np.ndarray, n: int, neq: int = 1) -> tuple:
+    """CSC pattern of the P1 graph of triangles on n nodes, with neq x neq
+    component blocks, (indptr, indices, slot): entry (i, j) of block (r, s)
+    of triangle t's element matrix, which couples component r of node
+    triangles[t, i] with component s of node triangles[t, j], sums into
+    data[slot[t, r, s, i, j]].  Unknown k n + i is component k of node i."""
+    N, comp = neq * n, n * np.arange(neq)
+    rows = triangles[:, None, None, :, None] + comp[:, None, None, None]
+    cols = triangles[:, None, None, None, :] + comp[:, None, None]
+    keys, slot = np.unique(cols * N + rows, return_inverse=True)
+    indptr = np.searchsorted(keys, np.arange(N + 1) * N)
+    # 32-bit where it fits, as scipy.sparse stores its indices
+    idx = np.int32 if len(keys) <= np.iinfo(np.int32).max else np.int64
+    return (indptr.astype(idx), (keys % N).astype(idx),
+            slot.astype(idx).reshape(len(triangles), neq, neq, 3, 3))
 
 
 def build_rect_mesh(lx: float, ly: float, nx: int, ny: int) -> Mesh:

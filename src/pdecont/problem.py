@@ -8,6 +8,11 @@ tints splitting; or it writes the tensor callbacks G/Gjac itself, which the
 general path assembles afresh at each call (assemble_general, shared by the
 tensor residual, the tensor Jacobian and tint).
 
+Jacobians are data on cached patterns: a semilinear Gu and the fold block
+are data vectors on the ReducedPattern, the one P1 pattern of the reduced
+space, and jacobian_active writes its blocks into a Layout cached per
+(mode, nq, number of active parameters); setfemops drops both.
+
 The unknown vector stores the nodal PDE values (length nu, reduced when a
 periodization is active) followed by all auxiliary variables.  The active
 auxiliary variables are selected by the 1-based index list ilam; ilam[0] is
@@ -24,7 +29,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import fem, linsolve, periodic
-from .mesh import Mesh
+from .mesh import Mesh, p1_pattern
 from .periodic import Periodization
 
 
@@ -149,9 +154,12 @@ class OperatorCache:
     Fload: Optional[sp.csc_matrix] = None     # load of tri values: Mtl, rows reduced
     Ctri: Optional[sp.csc_matrix] = None      # tri means: C, columns reduced
     per: Optional[Periodization] = None
-    # counts the LU factorizations of the correctors, tangents, tint and
-    # tints; not the tangent's blss fallback nor stability_index's own LU
+    # counts every LU factorization of the state: correctors, tangents and
+    # their blss fallback, stability indices, tint and tints
     cache: linsolve.FactorCache = field(default_factory=linsolve.FactorCache)
+    # built at the first Jacobian, dropped by setfemops
+    pattern: Optional["ReducedPattern"] = None
+    layouts: dict = field(default_factory=dict)     # blocks_matrix's
 
 
 @dataclass
@@ -235,6 +243,8 @@ def setfemops(state: ProblemState):
         if v is not None:
             setattr(state, name, _reperiodize(state, per, v, ntail))
     state.ops.per = per
+    state.ops.pattern = None
+    state.ops.layouts.clear()
 
     state.ops.M = periodic.periodize_operator(fem.assemble_mass(mesh, neq), per)
 
@@ -339,21 +349,12 @@ def pde_jacobian_u(state: ProblemState, U: np.ndarray) -> sp.csc_matrix:
     """d(PDE residual)/du, sparse nu x nu in canonical CSC."""
     if state.mode == "spcont":
         from . import spcont as _spcont
-        J = _spcont.extended_pde_jacobian_u(state, U)
-    elif state.switches.jac == 0:
-        J = _fd_jacobian_u(state, U)
-    elif state.callbacks.semilinear is not None:
-        J = _semilinear_jacobian_u(state, U)
-    else:
-        J = tensor_jacobian_u(state, U)
-    return _canonical(J)
-
-
-def _canonical(A: sp.spmatrix) -> sp.csc_matrix:
-    """A as CSC with sorted indices and no duplicates."""
-    A = A.tocsc()
-    A.sum_duplicates()
-    return A
+        return _spcont.extended_pde_jacobian_u(state, U)
+    if state.switches.jac == 0:
+        return _fd_jacobian_u(state, U)
+    if state.callbacks.semilinear is not None:
+        return _semilinear_jacobian_u(state, U)
+    return tensor_jacobian_u(state, U)
 
 
 def tensor_jacobian_u(state: ProblemState, U: np.ndarray) -> sp.csc_matrix:
@@ -364,7 +365,8 @@ def tensor_jacobian_u(state: ProblemState, U: np.ndarray) -> sp.csc_matrix:
     ct = cb.Gjac(state, U).normalized(state.mesh.ntri, state.neq)
     J, _ = assemble_general(state, U, ct, cb.bcjac or cb.bc)
     if np.any(ct.fu):
-        J = J - state.ops.Fload @ _tri_diag(state, ct.fu) @ state.ops.Ctri
+        P = reduced_pattern(state)
+        J = J - P.matrix(P.load_derivative(ct.fu))
     return J.tocsc()
 
 
@@ -412,10 +414,19 @@ def aux_jacobian_u(state: ProblemState, U: np.ndarray) -> sp.csc_matrix:
         from . import spcont as _spcont
         return _spcont.extended_aux_jacobian_u(state, U)
     if state.switches.qjac == 1 and state.callbacks.qjac is not None:
-        qj = state.callbacks.qjac(state, U)
-        return sp.csc_matrix(np.atleast_2d(np.asarray(qj, dtype=float)))
-    return sp.csc_matrix(fd_columns(lambda V: aux_residual(state, V), U,
-                                    range(state.nu), state.controls.del_))
+        return full_csc(np.atleast_2d(state.callbacks.qjac(state, U)))
+    return full_csc(fd_columns(lambda V: aux_residual(state, V), U,
+                               range(state.nu), state.controls.del_))
+
+
+def full_csc(A: np.ndarray) -> sp.csc_matrix:
+    """The dense rows A as CSC that stores every entry, zeros too: its
+    pattern does not depend on the values, so its layout slots stay."""
+    m, n = A.shape
+    return sp.csc_matrix((np.asarray(A, dtype=float).ravel(order="F"),
+                          np.tile(np.arange(m, dtype=np.int32), n),
+                          np.arange(0, m * n + 1, m, dtype=np.int32)),
+                         shape=(m, n))
 
 
 def jacobian_active(state: ProblemState, U: np.ndarray | None = None,
@@ -427,12 +438,131 @@ def jacobian_active(state: ProblemState, U: np.ndarray | None = None,
     when not given).
     """
     U = state.u if U is None else np.asarray(U, dtype=float)
+    nu = state.nu
     Gu = pde_jacobian_u(state, U)
     Qu = aux_jacobian_u(state, U)
-    Ju = sp.vstack([Gu, Qu], format="csc")
     W = fd_columns(lambda V: residual(state, V), U, active_slots(state),
                    state.controls.del_, f0=f0)
-    return _canonical(sp.hstack([Ju, sp.csc_matrix(W)], format="csc"))
+    return blocks_matrix(state, (state.mode, state.nq, W.shape[1]),
+                         [[Gu, W[:nu]], [Qu, W[nu:]]])
+
+
+# ---------------------------------------------------------------------------
+# the reduced P1 pattern and the block layouts Jacobians are written into
+
+class _Structure:
+    """A canonical CSC structure (indptr, indices, shape) held by a cache."""
+
+    def matrix(self, data: np.ndarray) -> sp.csc_matrix:
+        """data on the structure, less the explicit zeros that a sparse sum
+        or product would have dropped: the LU orders on what is stored."""
+        # copied: the structure belongs to the cache, the matrix to the caller
+        A = sp.csc_matrix((data, self.indices.copy(), self.indptr.copy()),
+                          shape=self.shape)
+        A.has_canonical_format = True
+        if not data.all():
+            A.eliminate_zeros()
+        return A
+
+
+class ReducedPattern(_Structure):
+    """The pattern of the P1 operators on the reduced space: the P1 graph of
+    the triangles with their nodes mapped to the periodization's kept ones,
+    in neq x neq component blocks.  K, Kdx, Kdy and Q are taken onto it as
+    data vectors at their first use (op), so that a semilinear Gu is a sum
+    of those less one load_derivative scatter."""
+
+    def __init__(self, state: ProblemState):
+        mesh, per = state.mesh, state.ops.per
+        if per.bcper or state.neq > 1:
+            node = periodic.extend_vector(np.arange(per.nu_per), per)
+            self.indptr, self.indices, self.slot = p1_pattern(
+                node[:mesh.npoints].astype(int)[mesh.triangles], per.np_per,
+                state.neq)
+        else:       # the mesh's own, which its assembly has built already
+            self.indptr, self.indices, self.slot = mesh.p1_pattern()
+        self.shape = (per.nu_per, per.nu_per)
+        self.area = mesh.tri_areas()
+        self._ops = {name: getattr(state.ops, name)
+                     for name in ("K", "Kdx", "Kdy", "Q")}
+        self._data = {}
+
+    def op(self, name: str) -> np.ndarray:
+        """ops.K, Kdx, Kdy or Q as data on the pattern."""
+        if name not in self._data:
+            cols = np.repeat(np.arange(self.shape[1]), np.diff(self.indptr))
+            self._data[name] = np.ravel(self._ops[name][self.indices, cols])
+        return self._data[name]
+
+    def load_derivative(self, fu) -> np.ndarray:
+        """Fload diag(fu) Ctri as data, for per-triangle fu of shape (nt,) or
+        (nt, N, N): area fu[t, r, s] / 9 from triangle t to each of its 3 x 3
+        node pairs in block (r, s)."""
+        neq = self.slot.shape[1]
+        w = (self.area / 9.0)[:, None, None] * np.reshape(fu, (-1, neq, neq))
+        return np.bincount(self.slot.ravel(), minlength=len(self.indices),
+                           weights=np.broadcast_to(w[..., None, None],
+                                                   self.slot.shape).ravel())
+
+
+def reduced_pattern(state: ProblemState) -> ReducedPattern:
+    """The state's ReducedPattern, built at the first call after setfemops."""
+    if state.ops.pattern is None:
+        state.ops.pattern = ReducedPattern(state)
+    return state.ops.pattern
+
+
+class Layout(_Structure):
+    """The structure of sp.bmat(grid), and for each of its entries the place
+    of its value among the blocks' values (_values, block after block in
+    row-major grid order).  Sparse blocks must be canonical CSC."""
+
+    def __init__(self, grid):
+        blocks = [B for row in grid for B in row if B is not None]
+        start = iter(np.cumsum([1] + [len(_values(B)) for B in blocks]))
+        # each block with the 1-based places of its values as its values
+        marked = [[None if B is None else _with_values(B, next(start))
+                   for B in row] for row in grid]
+        A = sp.bmat(marked, format="csc")
+        self.shape, self.indptr, self.indices = A.shape, A.indptr, A.indices
+        self.src = A.data.astype(np.int32) - 1
+        self.patterns = [(B.indptr.copy(), B.indices.copy())
+                         for B in blocks if sp.issparse(B)]
+
+    def fits(self, grid) -> bool:
+        """Whether the sparse blocks have the patterns of the layout's."""
+        sparse = [B for row in grid for B in row if sp.issparse(B)]
+        return all(np.array_equal(p, B.indptr) and np.array_equal(i, B.indices)
+                   for (p, i), B in zip(self.patterns, sparse))
+
+    def write(self, grid) -> sp.csc_matrix:
+        values = np.concatenate([_values(B) for row in grid for B in row
+                                 if B is not None])
+        return self.matrix(values[self.src])
+
+
+def _values(B) -> np.ndarray:
+    """The stored entries of a sparse B, all entries of a dense B column by
+    column."""
+    return B.data if sp.issparse(B) else B.ravel(order="F")
+
+
+def _with_values(B, first: int) -> sp.csc_matrix:
+    """B's pattern (a dense B's every entry) holding first, first + 1, ..."""
+    v = first + np.arange(len(_values(B)), dtype=float)
+    if sp.issparse(B):
+        return sp.csc_matrix((v, B.indices, B.indptr), shape=B.shape)
+    return sp.csc_matrix(v.reshape(B.shape, order="F"))
+
+
+def blocks_matrix(state: ProblemState, key, grid) -> sp.csc_matrix:
+    """sp.bmat(grid) in canonical CSC, written into the Layout cached in
+    state.ops.layouts under key, which is built anew when a sparse block's
+    pattern is not the one it was built for (as with FD Jacobians)."""
+    layout = state.ops.layouts.get(key)
+    if layout is None or not layout.fits(grid):
+        layout = state.ops.layouts[key] = Layout(grid)
+    return layout.write(grid)
 
 
 # ---------------------------------------------------------------------------
@@ -446,49 +576,49 @@ def _tri_values(state: ProblemState, v: np.ndarray) -> np.ndarray:
     return vt[0] if state.neq == 1 else vt
 
 
-def _tri_diag(state: ProblemState, fu) -> sp.csc_matrix:
-    """Per-triangle multipliers, (nt,) or (nt, N, N), as a sparse map on
-    component-blocked triangle values."""
-    neq = state.neq
-    return fem.tri_diag_operator(np.reshape(fu, (-1, neq, neq)), neq)
-
-
 def _linear_terms(state: ProblemState, w: np.ndarray) -> list:
-    """(coefficient, matrix) pairs of d K - bx Kdx - by Kdy; an advection
-    term with a zero coefficient is left out."""
-    sl, ops = state.callbacks.semilinear, state.ops
-    adv = zip(sl.advection(w), (ops.Kdx, ops.Kdy))
-    return [(sl.scale(w), ops.K)] + [(-coef, A) for coef, A in adv if coef]
+    """(coefficient, operator name) pairs of d K - bx Kdx - by Kdy; an
+    advection term with a zero coefficient is left out."""
+    sl = state.callbacks.semilinear
+    adv = zip(sl.advection(w), ("Kdx", "Kdy"))
+    return [(sl.scale(w), "K")] + [(-coef, name) for coef, name in adv if coef]
 
 
 def _semilinear_residual(state: ProblemState, U: np.ndarray) -> np.ndarray:
-    u, w = U[:state.nu], U[state.nu:]
+    u, w, ops = U[:state.nu], U[state.nu:], state.ops
     f = state.callbacks.semilinear.f(_tri_values(state, u), w)
-    r = sum(coef * (A @ u) for coef, A in _linear_terms(state, w))
-    return r + state.ops.Q @ u - state.ops.Gb - state.ops.Fload @ np.ravel(f)
+    r = sum(coef * (getattr(ops, name) @ u)
+            for coef, name in _linear_terms(state, w))
+    return r + ops.Q @ u - ops.Gb - ops.Fload @ np.ravel(f)
 
 
 def implicit_operator(state: ProblemState, w: np.ndarray) -> sp.csc_matrix:
     """d K - bx Kdx - by Kdy + Q, the linear part of the semilinear residual,
     at the auxiliary vector w."""
-    L = sum(coef * A for coef, A in _linear_terms(state, w))
+    L = sum(coef * getattr(state.ops, name)
+            for coef, name in _linear_terms(state, w))
     return (L + state.ops.Q).tocsc()
 
 
 def _semilinear_jacobian_u(state: ProblemState, U: np.ndarray) -> sp.csc_matrix:
+    """d K - bx Kdx - by Kdy + Q - Fload diag(fu) Ctri, as data on the
+    reduced pattern."""
     u, w = U[:state.nu], U[state.nu:]
     fu = state.callbacks.semilinear.fu(_tri_values(state, u), w)
-    return (implicit_operator(state, w)
-            - state.ops.Fload @ _tri_diag(state, fu) @ state.ops.Ctri).tocsc()
+    P = reduced_pattern(state)
+    L = sum(coef * P.op(name) for coef, name in _linear_terms(state, w))
+    return P.matrix(L + P.op("Q") - P.load_derivative(fu))
 
 
 def semilinear_second_block(state: ProblemState, u: np.ndarray,
                             phi: np.ndarray, w: np.ndarray) -> sp.csc_matrix:
     """d_u((d_u G) phi), the lower-left block of the fold / branch-point
-    system, from the directional second derivative fuu."""
+    system, from the directional second derivative fuu: -Fload diag(S)
+    Ctri with S = fuu(ut, phit, w)."""
     S = state.callbacks.semilinear.fuu(_tri_values(state, u),
                                        _tri_values(state, phi), w)
-    return (-state.ops.Fload @ _tri_diag(state, S) @ state.ops.Ctri).tocsc()
+    P = reduced_pattern(state)
+    return P.matrix(-P.load_derivative(S))
 
 
 def _semilinear_tensors(state: ProblemState, U: np.ndarray, jac: bool):

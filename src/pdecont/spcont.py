@@ -12,7 +12,6 @@ from __future__ import annotations
 from contextlib import contextmanager
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import linsolve, problem
 
@@ -70,7 +69,7 @@ def extended_pde_jacobian_u(state, U):
         S = problem.semilinear_second_block(state, u, phi, w)
     else:
         S = _fd_second_block(state, U, Gu)
-    return sp.bmat([[Gu, None], [S, Gu]], format="csc")
+    return problem.blocks_matrix(state, "fold block", [[Gu, None], [S, Gu]])
 
 
 def _fd_second_block(state, U, Gu):
@@ -95,7 +94,7 @@ def extended_aux_jacobian_u(state, U):
     _, phi, _ = split(state, U)
     nb = len(phi)
     row = np.concatenate([np.zeros(nb), 2.0 * (state.ops.M @ phi)])
-    return sp.csc_matrix(row[None, :])
+    return problem.full_csc(row[None, :])
 
 
 def base_pde_block(state, U):

@@ -358,6 +358,33 @@ def test_localization_keeps_the_halving_points(monkeypatch, name):
         assert all(solves == 10 for _, solves, jump in seen if jump > 1)
 
 
+# the located primary values of the runs of HALVING, recorded with the
+# Jacobians summed as sparse matrices: summing them in another order moves
+# their last bits, which must not move SuperLU's pivots so far that a
+# sequence or a point changes
+LOCATED = {
+    "acfold": [1.3837944912950502, 3.25864913940288],
+    "bratu": [0.3678794411165723, 0.3661814824776586, 0.36137398526265196,
+              0.34463975080758663, 0.3336968368576649, 0.33246801998795444,
+              0.29139736362007473],
+}
+
+
+@pytest.mark.parametrize("name", ["acfold", "bratu"])
+def test_special_points_are_pinned(name):
+    if name == "acfold":
+        st = demos.make("acfold", {"nx": 30, "ny": 27})
+        findbif(st, 2)
+    else:
+        st = demos.make("bratu", {"nx": 14, "ny": 14})
+        st.switches.foldcheck = 1
+        cont(st, 40)
+    assert [(r.ptype, r.ineg) for r in st.branch] == HALVING[name][0]
+    located = [r.pars[0] for r in st.branch if r.ptype > 0]
+    assert len(located) == len(LOCATED[name])
+    assert np.abs(np.subtract(located, LOCATED[name])).max() <= 1e-8
+
+
 def test_bratu_fold_is_located_closer_than_by_halving(bratu):
     bratu.switches.foldcheck = 1
     bratu.sol.ds = 0.05

@@ -97,16 +97,21 @@ def test_interp_operator_exact_on_linear(mesh):
     assert np.allclose(C @ u, 2.0 * cent[:, 0] - cent[:, 1] + 0.5, atol=1e-13)
 
 
-def test_tri_diag_operator_matches_dense(mesh):
+def test_load_scatter_matches_dense():
+    # the reduced pattern's scatter of area fu / 9 is Fload diag(fu) Ctri,
+    # with a full random (nt, 2, 2) fu, with and without a periodization
     rng = np.random.default_rng(5)
-    nt = mesh.ntri
-    fu = rng.standard_normal((nt, 2, 2))
-    D = fem.tri_diag_operator(fu, 2)
-    v = rng.standard_normal(2 * nt)
-    want = np.concatenate([
-        fu[:, 0, 0] * v[:nt] + fu[:, 0, 1] * v[nt:],
-        fu[:, 1, 0] * v[:nt] + fu[:, 1, 1] * v[nt:]])
-    assert np.allclose(D @ v, want, atol=1e-13)
+    for bcper in (0, 3):
+        st = demos.make("schnak", {"nx": 6, "ny": 8, "bcper": bcper})
+        nt, ops = st.mesh.ntri, st.ops
+        fu = rng.standard_normal((nt, 2, 2))
+        D = np.block([[np.diag(fu[:, r, s]) for s in range(2)]
+                      for r in range(2)])
+        want = ops.Fload.toarray() @ D @ ops.Ctri.toarray()
+        P = problem.reduced_pattern(st)
+        got = P.matrix(P.load_derivative(fu)).toarray()
+        assert got.shape == want.shape == (st.nu, st.nu)
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
 
 def test_boundary_neumann_is_zero(mesh):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 from pdecont import demos, problem
@@ -250,3 +251,87 @@ def test_jacobian_active_takes_the_residual_it_is_given(demo, monkeypatch):
     assert len(calls) == 2 * len(st.ilam) + 1
     for attr in ("indptr", "indices", "data"):
         assert np.array_equal(getattr(got, attr), getattr(want, attr))
+
+
+# -- Jacobians as data on the reduced pattern ----------------------------------
+
+def _tri_diag(fu, neq):
+    """Per-triangle (nt, N, N) multipliers as a sparse map on component-
+    blocked triangle values."""
+    fu = np.reshape(fu, (-1, neq, neq))
+    return sp.bmat([[sp.diags(fu[:, r, s]) for s in range(neq)]
+                    for r in range(neq)], format="csc")
+
+
+def _reference_gu(st, U):
+    """d K - bx Kdx - by Kdy + Q - Fload diag(fu) Ctri by sparse products."""
+    sl, ops, neq = st.callbacks.semilinear, st.ops, st.neq
+    u, w = U[:st.nu], U[st.nu:]
+    ut = (ops.Ctri @ u).reshape(neq, -1)
+    fu = sl.fu(ut[0] if neq == 1 else ut, w)
+    bx, by = sl.advection(w)
+    return (sl.scale(w) * ops.K - bx * ops.Kdx - by * ops.Kdy + ops.Q
+            - ops.Fload @ _tri_diag(fu, neq) @ ops.Ctri)
+
+
+def _canonical(A):
+    """CSC with sorted indices and no duplicates, as scipy finds it afresh
+    (the flag of a matrix written into a layout is set, not found)."""
+    return sp.csc_matrix((A.data, A.indices, A.indptr),
+                         shape=A.shape).has_canonical_format
+
+
+def _assert_jacobians(st, U):
+    """Gu and jacobian_active against references by sparse sums and
+    stacking, to 1e-13 relative."""
+    Gu, J = problem.pde_jacobian_u(st, U), problem.jacobian_active(st, U)
+    W = problem.fd_columns(lambda V: problem.residual(st, V), U,
+                           problem.active_slots(st), st.controls.del_)
+    ref = _reference_gu(st, U)
+    Jref = sp.hstack([sp.vstack([ref, problem.aux_jacobian_u(st, U)]), W])
+    for got, want in ((Gu, ref), (J, Jref)):
+        assert got.shape == want.shape and _canonical(got)
+        assert abs(got - want).max() <= 1e-13 * abs(want).max()
+
+
+@pytest.mark.parametrize("demo,bcper", [
+    ("acfold", None), ("bratu", None), ("acfront", None), ("schnak", 0),
+    ("schnak", 1), ("schnak", 2), ("schnak", 3), ("schnaktravel", None)])
+def test_pattern_jacobians_match_sparse_products(demo, bcper):
+    cfg = None if bcper is None else {"bcper": bcper}
+    st = demos.perturb(demos.make(demo, cfg), seed=3)
+    if demo == "acfront":
+        demos.acfront_freeze(st)
+    _assert_jacobians(st, st.u)
+
+
+def test_pattern_and_layout_are_cached_until_setfemops():
+    st = demos.perturb(demos.make("schnak"), seed=3)
+    problem.jacobian_active(st, st.u)
+    key = (st.mode, st.nq, len(st.ilam))
+    pattern, layout = st.ops.pattern, st.ops.layouts[key]
+    problem.jacobian_active(st, st.u)
+    assert st.ops.pattern is pattern and st.ops.layouts[key] is layout
+    st.switches.bcper = 3
+    problem.setfemops(st)
+    assert st.ops.pattern is None and not st.ops.layouts
+    _assert_jacobians(st, st.u)
+    assert st.ops.pattern is not pattern
+    assert st.ops.layouts[key] is not layout
+    assert st.ops.layouts[key].shape == (st.nu, st.nu + 1)
+
+
+def test_layout_is_rebuilt_for_a_new_block_pattern():
+    # a finite-difference Gu or a vanishing fold block S changes a sparse
+    # block's pattern between calls; the cached layout must not be reused
+    st = demos.make("bratu", {"nx": 4, "ny": 4})
+    rng = np.random.default_rng(0)
+    layouts = []
+    for density in (0.3, 0.6, 0.6):
+        A = sp.random(6, 6, density=density, format="csc", random_state=rng)
+        B = rng.standard_normal((6, 2))
+        got = problem.blocks_matrix(st, "test", [[A, B], [None, B[:1]]])
+        want = sp.bmat([[A, B], [None, B[:1]]], format="csc")
+        assert _canonical(got) and abs(got - want).max() == 0.0
+        layouts.append(st.ops.layouts["test"])
+    assert layouts[0] is not layouts[1]

@@ -188,6 +188,50 @@ def test_switched_branch_keeps_its_records(acfold_run):
         == RECORDS["switched"]
 
 
+def test_every_lu_of_the_fold_curve_is_counted(acfold_run, monkeypatch):
+    # the fold curve's index LU (stability_index of the leading block) and
+    # any blss fallback count in the state's cache like the tangent's LU
+    st = io.load_point(acfold_run["out1"], "fpt1")
+    st.file.dir = ""
+    spcont.spcontini(st, 3)
+    st.sol.ds = 0.05
+    st.switches.bifcheck = 0
+    lus = []
+    factorize = linsolve.FactorCache.factorize
+
+    def counting(self, A, **options):
+        lus.append(1)
+        return factorize(self, A, **options)
+    monkeypatch.setattr(linsolve.FactorCache, "factorize", counting)
+    before = st.ops.cache.factor_count
+    continuation.cont(st, 8)
+    assert len(lus) > 8
+    assert st.ops.cache.factor_count - before == len(lus)
+
+
+def test_fold_curve_jacobian_matches_sparse_products(acfold_run):
+    # [[Gu, 0], [S, Gu]] written into the fold block's layout, and the
+    # Jacobian stacked from it, against sparse sums and products
+    st = io.load_point(acfold_run["out1"], "fpt1")
+    spcont.spcontini(st, 3)
+    problem.init_weights(st)
+    U, ops, sl = st.u, st.ops, st.callbacks.semilinear
+    u, phi, w = spcont.split(st, U)
+    ut, pt = ops.Ctri @ u, ops.Ctri @ phi
+    Gu = (sl.scale(w) * ops.K + ops.Q
+          - ops.Fload @ sp.diags(sl.fu(ut, w)) @ ops.Ctri)
+    S = -ops.Fload @ sp.diags(sl.fuu(ut, pt, w)) @ ops.Ctri
+    ext = sp.bmat([[Gu, None], [S, Gu]])
+    W = problem.fd_columns(lambda V: problem.residual(st, V), U,
+                           problem.active_slots(st), st.controls.del_)
+    J = sp.hstack([sp.vstack([ext, problem.aux_jacobian_u(st, U)]), W])
+    for got, want in ((problem.pde_jacobian_u(st, U), ext),
+                      (problem.jacobian_active(st, U), J)):
+        fresh = sp.csc_matrix((got.data, got.indices, got.indptr))
+        assert fresh.has_canonical_format and got.shape == want.shape
+        assert abs(got - want).max() <= 1e-13 * abs(want).max()
+
+
 # -- a fold is not also a branch point ----------------------------------------
 
 def _special(branch):
