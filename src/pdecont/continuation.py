@@ -2,12 +2,13 @@
 parametrization switching, detection and localization of bifurcation and
 fold points, and user-target parameter output.
 
-Both correctors are one Newton loop on the bordered system (G, q,
-<border, y - y_base> - ds) = 0: border e_alpha and ds = 0 (natural), or
-w*tau (arclength).  The tangent at a point comes from one factorization of
-the square block d(G, q)/d(u, wtilde) by block elimination, and the
-stability index from the same Jacobian: where that block is Gu, from the
-same factorization.
+Both correctors are one Newton loop: the natural one on (G, q) = 0 in
+(u, wtilde) at fixed alpha, with the square block A0 = d(G, q)/d(u, wtilde)
+alone, the arclength one on the system bordered by <w*tau, y - y_base> =
+ds.  The tangent at a point comes from one factorization of A0 by block
+elimination, and the stability index from the same Jacobian: where A0 is
+Gu, from the same factorization.  cont holds the tangent's LU of a plain
+step's point for the next natural corrector's first iterate.
 
 A change of the stability index (bifurcation) or of the sign of the
 tangent's parameter component (fold) between two points is localized at
@@ -56,11 +57,10 @@ class BranchRecord:
 # correctors
 
 def nloop(state, U):
-    """Newton at fixed primary parameter (border e_alpha); returns
+    """Newton at fixed primary parameter on A0 delta = -r in (u, wtilde),
+    A0 = d(G, q)/d(u, wtilde), first on cont's held LU (_newton); returns
     {"U", "r", "res", "iter", "converged"}, r the residual (G, q) at U."""
-    e = np.zeros(state.nu + state.nq + 1)
-    e[-1] = 1.0
-    return _newton(state, U, e, problem.pack_active(state, U), 0.0)
+    return _newton(state, U, None, None, 0.0)
 
 
 def nloopext(state, U_pred, ds, U_base=None, tau=None):
@@ -73,32 +73,57 @@ def nloopext(state, U_pred, ds, U_base=None, tau=None):
 
 
 def _newton(state, U, border, y_base, ds):
-    """Newton on (G, q, <border, y - y_base> - ds) = 0 in y = (u, wtilde,
-    alpha): one LU per iteration, or per call for chord (switches.newt=1)."""
+    """Newton on (G, q) = 0 in (u, wtilde) at fixed alpha (border None), or
+    on (G, q, <border, y - y_base> - ds) = 0 in y = (u, wtilde, alpha): one
+    LU per iteration, or per call for chord (switches.newt=1).  Every call
+    empties cont's slot.  A natural call at the point the held LU belongs
+    to takes its first iterate on it, a chord step (Allgower and Georg
+    1990), and chord every iterate, while checked_solve accepts it."""
     U = np.array(U, dtype=float)
     tol, imax = state.controls.tol, state.controls.imax
     chord = state.switches.newt == 1
+    held, state.ops.cache.held = state.ops.cache.held, None
+    if held is not None:
+        (u, ilam, nq), held = held
+        if (border is not None or (nq, ilam) != (state.nq, state.ilam)
+                or not np.array_equal(u, state.u)):
+            held = None
 
-    def p_res(Uc):
-        return float(border @ (problem.pack_active(state, Uc) - y_base)) - ds
+    def F(Uc):
+        r = problem.residual(state, Uc)
+        if border is None:
+            return r, r
+        y = problem.pack_active(state, Uc)
+        return r, np.append(r, border @ (y - y_base) - ds)
 
-    r = problem.residual(state, U)
-    res = max(_norm(r), abs(p_res(U)))
+    r, f = F(U)
+    res = _norm(f)
     it = 0
     lu = None
     while res > tol and it < imax:
         try:
-            if lu is None or not chord:
-                A = problem.jacobian_active(state, U, f0=r)
-                lu = state.ops.cache.factorize(linsolve.bordered(A, border))
-            dy = linsolve.solve(lu, -np.append(r, p_res(U)))
+            dy = linsolve.checked_solve(held[1], held[0], -f) if held else None
         except SingularMatrixError:
-            return {"U": U, "r": r, "res": res, "iter": it,
-                    "converged": False}
-        y = problem.pack_active(state, U) + dy
+            dy = None
+        if dy is None or not chord:
+            held = None         # freed before the next factorization
+        if dy is None:
+            try:
+                if lu is None or not chord:
+                    lu = None
+                    A = problem.jacobian_active(state, U, f0=r)
+                    A = (A[:, :-1] if border is None
+                         else linsolve.bordered(A, border))
+                    lu = state.ops.cache.factorize(A)
+                dy = linsolve.solve(lu, -f)
+            except SingularMatrixError:
+                return {"U": U, "r": r, "res": res, "iter": it,
+                        "converged": False}
+        y = problem.pack_active(state, U)
+        y[:len(dy)] += dy       # natural: alpha stays
         U = problem.apply_active(state, U, y)
-        r = problem.residual(state, U)
-        res = max(_norm(r), abs(p_res(U)))
+        r, f = F(U)
+        res = _norm(f)
         it += 1
     return {"U": U, "r": r, "res": res, "iter": it,
             "converged": bool(res <= tol)}
@@ -405,18 +430,29 @@ def cont(state, nsteps=None):
 
         U_new = result["U"]
         state.sol.iter = result["iter"]
-        tau_new, ineg_new = tangent_and_index(state, U_new, tau0, result["r"],
-                                              index=bool(sw.spcalc))[:2]
+        tau_new, ineg_new, square = tangent_and_index(
+            state, U_new, tau0, result["r"], index=bool(sw.spcalc))
         if ineg_new is None:
             ineg_new = state.sol.ineg
 
-        # detection + localization between the previous and the new point
+        # detection + localization between the previous and the new point,
+        # and the user-target parameter values crossed in this step
         old_pt = {"U": state.u.copy(), "tau": tau0, "ineg": state.sol.ineg,
                   "ds": ds}
         new_pt = {"U": U_new, "tau": tau_new, "ineg": ineg_new, "ds": ds}
         fold = _lam_sign(tau_new) * _lam_sign(tau0) < 0
-        if (sw.bifcheck and state.sol.ineg >= 0
-                and _is_branch_point(ineg_new - state.sol.ineg, fold)):
+        bif = (sw.bifcheck and state.sol.ineg >= 0
+               and _is_branch_point(ineg_new - state.sol.ineg, fold))
+        lam1 = float(U_new[state.nu + state.ilam[0] - 1])
+        targets = [t for t in sorted(state.usrlam, key=lambda t: abs(t - lam0))
+                   if min(lam0, lam1) < t <= max(lam0, lam1) and t != lam0]
+        if (square is not None and state.mode == "normal"
+                and not (bif or sw.foldcheck and fold or targets)):
+            # a plain step: the next natural corrector starts on this LU
+            key = (U_new.copy(), list(state.ilam), state.nq)
+            state.ops.cache.held = (key, square)
+        del square          # no LU is held through another solve
+        if bif:
             loc = bisect_special_point(state, old_pt, new_pt, "bifurcation")
             state.file.bcount += 1
             _record_special(state, loc, 1, f"bpt{state.file.bcount}")
@@ -424,12 +460,8 @@ def cont(state, nsteps=None):
             loc = bisect_special_point(state, old_pt, new_pt, "fold")
             state.file.fcount += 1
             _record_special(state, loc, 2, f"fpt{state.file.fcount}")
-
-        # user-target parameter values crossed in this step
-        lam1 = float(U_new[state.nu + state.ilam[0] - 1])
-        for target in sorted(state.usrlam, key=lambda t: abs(t - lam0)):
-            if min(lam0, lam1) < target <= max(lam0, lam1) and target != lam0:
-                _converge_at_lambda(state, old_pt["U"], U_new, target)
+        for target in targets:
+            _converge_at_lambda(state, old_pt["U"], U_new, target)
 
         # accept
         state.uold = state.u.copy()

@@ -39,16 +39,22 @@ class SingularMatrixError(RuntimeError):
 
 
 class FactorCache:
-    """Sparse LU that counts its factorizations (factor_count) and keeps
-    none: a caller reusing one (chord Newton, tints) holds the LU itself."""
+    """Sparse LU that counts its factorizations (factor_count) and keeps at
+    most one, held: continuation.cont's (key, (A0, lu)).  A factorization
+    drops it first, so that no two LUs are alive, and a copy takes none."""
 
     def __init__(self):
         self.factor_count = 0
+        self.held = None
+
+    def __getstate__(self):
+        return dict(self.__dict__, held=None)
 
     def factorize(self, A: sp.spmatrix, **options):
         """splu(A, permc_spec=PERMC_SPEC, **options), partial pivoting unless
         the options say otherwise; A itself is left as it is (splu would sort
         a non-canonical CSC matrix in place, so it gets a copy)."""
+        self.held = None
         A = A.tocsc()
         if not A.has_canonical_format:
             A = A.copy()

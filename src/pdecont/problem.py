@@ -154,8 +154,8 @@ class OperatorCache:
     Fload: Optional[sp.csc_matrix] = None     # load of tri values: Mtl, rows reduced
     Ctri: Optional[sp.csc_matrix] = None      # tri means: C, columns reduced
     per: Optional[Periodization] = None
-    # counts every LU factorization of the state: correctors, tangents and
-    # their blss fallback, stability indices, tint and tints
+    # counts every LU factorization of the state (correctors, tangents and
+    # their blss fallback, indices, tint, tints) and holds cont's one
     cache: linsolve.FactorCache = field(default_factory=linsolve.FactorCache)
     # built at the first Jacobian, dropped by setfemops
     pattern: Optional["ReducedPattern"] = None
@@ -245,6 +245,7 @@ def setfemops(state: ProblemState):
     state.ops.per = per
     state.ops.pattern = None
     state.ops.layouts.clear()
+    state.ops.cache.held = None
 
     state.ops.M = periodic.periodize_operator(fem.assemble_mass(mesh, neq), per)
 
