@@ -167,14 +167,23 @@ def unit_tangent(state, U, border, f0=None, index=False):
     that LU where A0 is Gu (nq = 0) and its LDL^T is accepted, else
     linsolve.stability_index of J's leading nu_per x nu_per block, which is
     Gu in every mode (jacobian_active stacks Gu first; fold continuation's
-    PDE block is [[Gu, 0], [S, Gu]]).
+    PDE block is [[Gu, 0], [S, Gu]]).  Where nq > 0 that index is taken
+    before A0 is factorized, so that its LU (or ARPACK's) is freed first.
     """
     J = problem.jacobian_active(state, U, f0)
-    n = J.shape[0]
+    n, nb = J.shape[0], state.ops.per.nu_per
     A0, a = J[:, :n], J[:, n].toarray().ravel()
-    ineg = z = None
+
+    def block_index():
+        return linsolve.stability_index(J[:nb, :nb], state.ops.M,
+                                        state.controls.neig, state.ops.cache)
+
+    ineg = block_index() if index and state.nq else None
+    z = None
     try:
-        lu, ineg = linsolve.factorize_square(A0, state.ops.cache)
+        lu, inertia = linsolve.factorize_square(A0, state.ops.cache)
+        if index and not state.nq:
+            ineg = inertia      # A0 is Gu
         z = linsolve.checked_solve(lu, A0, a)
     except SingularMatrixError:
         pass
@@ -183,12 +192,8 @@ def unit_tangent(state, U, border, f0=None, index=False):
     else:
         tau = np.append(-z, 1.0)
     tau = tau / np.sqrt(problem.weighted_dot(state, tau, tau))
-    if not index:
-        ineg = None
-    elif ineg is None or state.nq:
-        nb = state.ops.per.nu_per
-        ineg = linsolve.stability_index(J[:nb, :nb], state.ops.M,
-                                        state.controls.neig, state.ops.cache)
+    if index and ineg is None:
+        ineg = block_index()
     return tau, ineg, None if z is None else (A0, lu)
 
 
@@ -259,6 +264,8 @@ def bisect_special_point(state, left, right, kind):
     "warn" set on corrector failure.
     """
     nc = state.controls
+    # first: the test function takes right["square"] out of the caller's dict
+    g, gs = _test_function(state, left, right, kind)
     left, right = dict(left), dict(right)
     final = abs(left["ds"]) / 2 ** nc.bisecmax
     warn = False
@@ -268,7 +275,6 @@ def bisect_special_point(state, left, right, kind):
             return pt["tau"][-1] > 0
         return pt["ineg"]
 
-    g, gs = _test_function(state, left, right, kind)
     last = None         # the end the previous iterate replaced: 0 or 1
     for it in range(2 * nc.bisecmax):
         ds_br = left["ds"]
@@ -324,10 +330,12 @@ def _test_function(state, left, right, kind):
 
     At a fold g is tau's alpha component, which every iterate computes.  At
     a bifurcation it is _branch_test's, built on the right end's
-    factorization; each end's g costs one factorization, and only one LU is
-    held at a time.  An ineg jump by more than 1 (a complex pair or a double
-    crossing) is halved.
+    factorization: right["square"] where cont passed it (popped, so that
+    the caller's dict no longer holds it), else a new one.  The left end's
+    g costs one factorization, and only one LU is held at a time.  An ineg
+    jump by more than 1 (a complex pair or a double crossing) is halved.
     """
+    square = right.pop("square", None)
     if kind == "fold":
         def g(pt, _square):
             return pt["tau"][-1]
@@ -335,7 +343,7 @@ def _test_function(state, left, right, kind):
     elif abs(right["ineg"] - left["ineg"]) != 1:
         return None, None
     else:
-        square = _square(state, right)
+        square = square or _square(state, right)
         if square is None:
             return None, None
         g = _branch_test(*square)
@@ -451,6 +459,8 @@ def cont(state, nsteps=None):
             # a plain step: the next natural corrector starts on this LU
             key = (U_new.copy(), list(state.ilam), state.nq)
             state.ops.cache.held = (key, square)
+        elif bif:
+            new_pt["square"] = square   # for the localization's test function
         del square          # no LU is held through another solve
         if bif:
             loc = bisect_special_point(state, old_pt, new_pt, "bifurcation")

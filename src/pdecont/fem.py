@@ -179,13 +179,7 @@ def assemble_load(mesh: Mesh, f, neq: int = 1) -> np.ndarray:
         f = f[None, :]
     if f.shape != (neq, mesh.ntri):
         raise AssemblyError(f"load has shape {f.shape}, expected ({neq}, {mesh.ntri})")
-    n = mesh.npoints
-    w = mesh.tri_areas() / 3.0
-    F = np.zeros(neq * n)
-    for k in range(neq):
-        np.add.at(F, k * n + mesh.triangles.ravel(),
-                  np.repeat(w * f[k], 3))
-    return F
+    return load_operator(mesh, neq) @ f.ravel()
 
 
 def load_operator(mesh: Mesh, neq: int = 1) -> sp.csc_matrix:
@@ -216,7 +210,9 @@ def assemble_boundary(mesh: Mesh, bc: BCSpec, u: np.ndarray, pars,
     """1D boundary contributions of int (q u - g) phi ds by the midpoint rule.
 
     u is the full-length nodal field used to evaluate u-dependent q, g.
-    Returns Q (sparse) and Gb (vector); the residual adds Q u - Gb.
+    Returns Q (sparse, neq n x neq n, with entries only in the component
+    blocks whose q is not all zero) and Gb (vector); the residual adds
+    Q u - Gb.
     """
     n = mesh.npoints
     u = np.asarray(u, dtype=float)
@@ -225,35 +221,26 @@ def assemble_boundary(mesh: Mesh, bc: BCSpec, u: np.ndarray, pars,
     a, b = mesh.edges[:, 0], mesh.edges[:, 1]
     xm = 0.5 * (mesh.points[a] + mesh.points[b])
     L = np.linalg.norm(mesh.points[b] - mesh.points[a], axis=1)
-    um = np.empty((len(a), neq))
-    for k in range(neq):
-        comp = u[k * n:(k + 1) * n]
-        um[:, k] = 0.5 * (comp[a] + comp[b])
+    comps = u[:neq * n].reshape(neq, n)
+    um = (0.5 * (comps[:, a] + comps[:, b])).T
 
     qv = np.asarray(bc.q(xm, um, pars, mesh.edge_seg), dtype=float)
     gv = np.asarray(bc.g(xm, um, pars, mesh.edge_seg), dtype=float)
     if qv.shape != (len(a), neq, neq) or gv.shape != (len(a), neq):
         raise AssemblyError("boundary provider returned wrong shape")
 
-    Gb = np.zeros(neq * n)
-    blocks = {}
-    for r in range(neq):
-        np.add.at(Gb, r * n + a, 0.5 * L * gv[:, r])
-        np.add.at(Gb, r * n + b, 0.5 * L * gv[:, r])
-        for s in range(neq):
-            w = 0.25 * L * qv[:, r, s]
-            if not np.any(w):
-                continue
-            rows = np.concatenate([a, a, b, b])
-            cols = np.concatenate([a, b, a, b])
-            vals = np.concatenate([w, w, w, w])
-            blocks[(r, s)] = sp.coo_matrix((vals, (rows, cols)),
-                                           shape=(n, n)).tocsc()
-    if blocks:
-        grid = [[blocks.get((r, s)) for s in range(neq)] for r in range(neq)]
-        Q = sp.bmat(grid, format="csc")
-    else:
-        Q = sp.csc_matrix((neq * n, neq * n))
+    # unknown k n + i is component k of node i; edge (a, b) adds w to (a, a),
+    # (a, b), (b, a), (b, b) of each block (r, s) whose w is not all zero
+    w = 0.25 * L[:, None, None] * qv
+    r, s = np.nonzero(np.any(w, axis=0))
+    rows = (n * r[:, None] + np.concatenate([a, a, b, b])).ravel()
+    cols = (n * s[:, None] + np.concatenate([a, b, a, b])).ravel()
+    vals = np.tile(w[:, r, s].T, 4).ravel()
+    Q = sp.coo_matrix((vals, (rows, cols)), shape=(neq * n, neq * n)).tocsc()
+    h = 0.5 * L[:, None] * gv
+    ends = np.concatenate([a, b]) + n * np.arange(neq)[:, None]
+    Gb = np.bincount(ends.ravel(), np.concatenate([h, h]).T.ravel(),
+                     minlength=neq * n)
     return {"Q": Q, "Gb": Gb}
 
 

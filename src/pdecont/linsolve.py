@@ -229,4 +229,6 @@ def _shift_invert_eigs(Gu: sp.spmatrix, M: sp.spmatrix, k: int) -> tuple:
 
 
 def _infnorm(A: sp.spmatrix) -> float:
-    return float(abs(A).sum(axis=1).max())
+    A = A.tocsc()   # abs(A).sum(axis=1)'s row sums, in its order, without |A|
+    return float(np.bincount(A.indices, np.abs(A.data), A.shape[0])
+                 .max(initial=0.0))

@@ -144,8 +144,5 @@ def node_to_triangle(mesh: Mesh, v: np.ndarray, neq: int = 1) -> np.ndarray:
     n = mesh.npoints
     if v.shape != (neq * n,):
         raise MeshError(f"field has length {v.size}, expected {neq * n}")
-    out = np.empty((neq, mesh.ntri))
-    for k in range(neq):
-        comp = v[k * n:(k + 1) * n]
-        out[k] = comp[mesh.triangles].mean(axis=1)
+    out = v.reshape(neq, n)[:, mesh.triangles].mean(axis=2)
     return out[0] if neq == 1 else out

@@ -3,6 +3,8 @@ the only code that maps between the full mesh space and the reduced space.
 
 Nodes on one of two identified sides are mapped onto their partners on the
 opposite side; the reduced problem keeps the bottom/left representatives.
+The sides are the first and last rows and columns of the grid of node ids,
+and the map is resolved on integer index arrays.
 Operators assembled with Neumann BC on the full mesh transform as
 fill' * A * fill, vectors and matrix rows as fill' * F;
 fill * u_reduced extends a reduced solution, drop * u restricts a full one.
@@ -43,27 +45,23 @@ class Periodization:
 def build_fill_drop(n_full: int, partner: dict[int, int]) -> tuple:
     """0/1 fill and drop matrices from a node identification map.
 
-    partner maps each dropped node to its retained representative (chains are
-    followed, e.g. a torus corner mapping through two sides).
+    partner maps each dropped node to its retained representative; chains (a
+    torus corner mapped through two sides) are followed by pointer jumping,
+    and a cycle raises PeriodicityError.
     """
-    rep = {}
-    for i in range(n_full):
-        j = i
-        seen = set()
-        while j in partner:
-            if j in seen:
-                raise PeriodicityError("cyclic node identification")
-            seen.add(j)
-            j = partner[j]
-        rep[i] = j
-    kept = sorted(set(rep.values()))
-    col = {j: k for k, j in enumerate(kept)}
+    dropped = np.array(list(partner), dtype=int)
+    rep = np.arange(n_full)
+    rep[dropped] = list(partner.values())
+    for _ in range(int(n_full).bit_length() + 1):   # each doubles the steps
+        rep = rep[rep]
+    # a cycle leaves no fixed point, or a dropped node its own representative
+    if np.any(rep[rep] != rep) or np.any(rep[dropped] == dropped):
+        raise PeriodicityError("cyclic node identification")
+    kept, cols = np.unique(rep, return_inverse=True)
     n_per = len(kept)
-    rows = np.arange(n_full)
-    cols = np.array([col[rep[i]] for i in range(n_full)])
-    fill = sp.coo_matrix((np.ones(n_full), (rows, cols)),
+    fill = sp.coo_matrix((np.ones(n_full), (np.arange(n_full), cols)),
                          shape=(n_full, n_per)).tocsc()
-    drop = sp.coo_matrix((np.ones(n_per), (np.arange(n_per), np.array(kept))),
+    drop = sp.coo_matrix((np.ones(n_per), (np.arange(n_per), kept)),
                          shape=(n_per, n_full)).tocsc()
     return fill, drop
 
@@ -76,26 +74,19 @@ def build_periodization(mesh: Mesh, neq: int, bcper: int) -> Periodization:
         eye = sp.identity(neq * n, format="csc")
         return Periodization(bcper, eye, eye.copy(), neq * n, n)
 
-    nx, ny = mesh.nx, mesh.ny
-
-    def nid(ix, iy):
-        return iy * (nx + 1) + ix
-
-    partner: dict[int, int] = {}
-    if bcper in (BCPer.TOP_BOTTOM, BCPer.TORUS):
-        for ix in range(nx + 1):
-            top, bot = nid(ix, ny), nid(ix, 0)
-            if mesh.points[top, 0] != mesh.points[bot, 0]:
-                raise PeriodicityError("top/bottom node layouts do not match")
-            partner[top] = bot
-    if bcper in (BCPer.LEFT_RIGHT, BCPer.TORUS):
-        for iy in range(ny + 1):
-            right, left = nid(nx, iy), nid(0, iy)
-            if mesh.points[right, 1] != mesh.points[left, 1]:
-                raise PeriodicityError("left/right node layouts do not match")
-            partner[right] = left
     if bcper not in (BCPer.TOP_BOTTOM, BCPer.LEFT_RIGHT, BCPer.TORUS):
         raise PeriodicityError(f"unknown bcper code {bcper}")
+    # node ids are row-major by y then x; top/bottom share x, left/right y,
+    # and come last, so that they map the torus corner
+    ids = np.arange(n).reshape(mesh.ny + 1, mesh.nx + 1)
+    partner: dict[int, int] = {}
+    for code, dropped, kept, axis, name in (
+            (BCPer.TOP_BOTTOM, ids[-1], ids[0], 0, "top/bottom"),
+            (BCPer.LEFT_RIGHT, ids[:, -1], ids[:, 0], 1, "left/right")):
+        if bcper in (code, BCPer.TORUS):
+            if np.any(mesh.points[dropped, axis] != mesh.points[kept, axis]):
+                raise PeriodicityError(f"{name} node layouts do not match")
+            partner.update(zip(dropped.tolist(), kept.tolist()))
 
     fill1, drop1 = build_fill_drop(n, partner)
     np_per = fill1.shape[1]

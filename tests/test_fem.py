@@ -280,3 +280,87 @@ def test_assembly_is_canonical_on_one_cached_pattern():
     M.indptr[:] = 0
     _assert_close(fem.assemble_mass(m), fem.assemble_mass(
         build_rect_mesh(1.0, 0.7, 9, 7)), rtol=0.0)
+
+
+def _same_csc(got, want):
+    got, want = got.tocsc(), want.tocsc()
+    return (got.shape == want.shape
+            and all(np.array_equal(getattr(got, k), getattr(want, k))
+                    for k in ("indptr", "indices", "data")))
+
+
+def _coupled_bc():
+    # block (0, 1) on the right side only, (1, 0) absent, both diagonal
+    # blocks u-dependent, and a nonzero g
+    def q(x, u, p, seg):
+        out = np.zeros((len(x), 2, 2))
+        out[:, 0, 0] = 1.0 + u[:, 0] ** 2
+        out[:, 0, 1] = np.where(seg == 2, 2.0 + x[:, 1], 0.0)
+        out[:, 1, 1] = 0.3 * seg
+        return out
+
+    def g(x, u, p, seg):
+        return np.sin(x[:, :1] + u) * seg[:, None]
+    return fem.BCSpec(q, g)
+
+
+@pytest.mark.parametrize("nx, ny", [(1, 1), (6, 5)])
+def test_boundary_equals_a_per_edge_reference(nx, ny):
+    m = build_rect_mesh(1.0, 0.7, nx, ny)
+    n, neq = m.npoints, 2
+    u = np.random.default_rng(4).standard_normal(neq * n)
+    bc = _coupled_bc()
+    got = fem.assemble_boundary(m, bc, u, None, neq)
+    # per edge: midpoint values, then its entries in every present block
+    x = 0.5 * (m.points[m.edges[:, 0]] + m.points[m.edges[:, 1]])
+    um = np.array([[0.5 * (u[k * n + i] + u[k * n + j]) for k in range(neq)]
+                   for i, j in m.edges])
+    qv, gv = bc.q(x, um, None, m.edge_seg), bc.g(x, um, None, m.edge_seg)
+    present = [(r, s) for r in range(neq) for s in range(neq)
+               if np.any(qv[:, r, s])]
+    assert (1, 0) not in present and (0, 1) in present
+    rows, cols, vals = [], [], []
+    Gb = np.zeros(neq * n)
+    for e, (i, j) in enumerate(m.edges):
+        L = np.linalg.norm(m.points[j] - m.points[i])
+        for r, s in present:
+            for k, l in ((i, i), (i, j), (j, i), (j, j)):
+                rows.append(r * n + k)
+                cols.append(s * n + l)
+                vals.append(0.25 * L * qv[e, r, s])
+        for r in range(neq):
+            Gb[r * n + i] += 0.5 * L * gv[e, r]
+            Gb[r * n + j] += 0.5 * L * gv[e, r]
+    Q = sp.coo_matrix((vals, (rows, cols)), shape=(neq * n, neq * n))
+    assert _same_csc(got["Q"], Q)
+    assert np.array_equal(got["Gb"], Gb)
+
+
+def test_boundary_q_keeps_its_shape_with_an_empty_block_row():
+    # q on component 0 only: Q is still neq n x neq n, its other blocks empty
+    m = build_rect_mesh(1.0, 0.7, 4, 3)
+    n = m.npoints
+    q1 = fem.dirichlet_bc(1, 0.5)
+    bc = fem.BCSpec(
+        q=lambda x, u, p, s: np.pad(q1.q(x, u, p, s), ((0, 0), (0, 1), (0, 1))),
+        g=lambda x, u, p, s: np.pad(q1.g(x, u, p, s), ((0, 0), (0, 1))))
+    got = fem.assemble_boundary(m, bc, np.zeros(2 * n), None, 2)
+    one = fem.assemble_boundary(m, q1, np.zeros(n), None, 1)
+    assert got["Q"].shape == (2 * n, 2 * n) and got["Q"][n:].nnz == 0
+    assert _same_csc(got["Q"][:n, :n], one["Q"])
+    assert np.array_equal(got["Gb"], np.append(one["Gb"], np.zeros(n)))
+
+
+@pytest.mark.parametrize("neq", [1, 2])
+def test_load_equals_the_add_at_reference(neq):
+    m = build_rect_mesh(1.0, 0.7, 7, 6)
+    f = np.random.default_rng(neq).standard_normal((neq, m.ntri))
+    w = m.tri_areas() / 3.0
+    want = np.zeros(neq * m.npoints)
+    for k in range(neq):
+        np.add.at(want, k * m.npoints + m.triangles.ravel(),
+                  np.repeat(w * f[k], 3))
+    assert np.array_equal(fem.assemble_load(m, f, neq), want)
+    if neq == 1:
+        assert np.array_equal(fem.assemble_load(m, f[0]), want)
+

@@ -301,3 +301,47 @@ def test_chord_newton_after_cont_makes_no_corrector_lu(monkeypatch):
     assert st.total_steps == 2 and it >= 1 and lus == 0 and held == it
     assert np.abs(np.subtract(_mu_s(st), FRONT_MU_S[1])).max() \
         <= 100 * st.controls.tol
+
+
+def _track_lus(monkeypatch):
+    """Every new LU first checks that none made before is alive; returns
+    the weak references to the LUs made."""
+    orig = linsolve.FactorCache.factorize
+    made = []
+
+    def tracking(self, A, **options):
+        assert not any(ref() is not None for ref in made)
+        lu = _Tracked(orig(self, A, **options))
+        made.append(weakref.ref(lu))
+        return lu
+    monkeypatch.setattr(linsolve.FactorCache, "factorize", tracking)
+    return made
+
+
+def test_no_lu_outlives_its_use_with_the_stability_index(monkeypatch):
+    # spcalc 1 with a phase condition (nq = 1): each index comes from J's
+    # leading block, whose LU goes before A0's is made.  Only the block at
+    # getinitau's point (s = 0) is symmetric and has an LU; the later ones
+    # go to ARPACK
+    made = _track_lus(monkeypatch)
+    st = _front()
+    st.switches.spcalc = 1
+    cont(st, 20)
+    assert st.total_steps == 20 and len(made) == 20 * FRONT_ITERS[0] + 3
+    assert all(r.ineg in (0, 1) for r in st.branch)
+
+
+def test_localization_takes_the_right_end_lu_from_cont(monkeypatch):
+    # the test function starts on the LU cont made at the bracket's right
+    # end and drops it before the left end's is made: one new square per
+    # localization, and no two LUs alive
+    made = _track_lus(monkeypatch)
+    squares = []
+    orig = continuation._square
+
+    def counting(state, pt):
+        squares.append(pt["U"])
+        return orig(state, pt)
+    monkeypatch.setattr(continuation, "_square", counting)
+    st = _acfold_findbif()
+    assert len(squares) == st.file.bcount == 2 and made

@@ -239,3 +239,18 @@ def test_checked_solve_refines_and_rejects():
     wrong = linsolve.FactorCache().factorize(_spd(40, 10))
     with pytest.raises(linsolve.SingularMatrixError):
         linsolve.checked_solve(wrong, A, A @ x)
+
+
+@pytest.mark.parametrize("A", [
+    sp.random(30, 20, density=0.3, format="csc", random_state=1),
+    sp.random(30, 20, density=0.3, format="csr", random_state=2),
+    _spd(40, 3),
+    sp.csc_matrix((3, 4)),
+    sp.csr_matrix((5, 5)),
+    sp.csc_matrix([[-2.5]]),
+], ids=["csc", "csr", "spd", "empty_csc", "empty_csr", "1x1"])
+def test_infnorm_equals_the_row_sums_of_abs(A):
+    A = A.copy()
+    A.data -= 0.5           # entries of both signs
+    A.sum_duplicates()      # canonical: CSR rows summed in column order
+    assert linsolve._infnorm(A) == float(abs(A).sum(axis=1).max())

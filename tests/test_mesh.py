@@ -125,3 +125,14 @@ def test_node_to_triangle_systems_and_errors():
     assert tv.shape == (2, m.ntri)
     with pytest.raises(MeshError):
         node_to_triangle(m, v[:-1], neq=2)
+
+
+@pytest.mark.parametrize("neq", [1, 2, 3])
+def test_node_to_triangle_equals_the_per_component_means(neq):
+    m = build_rect_mesh(1.0, 0.6, 5, 4)
+    n = m.npoints
+    v = np.random.default_rng(neq).standard_normal(neq * n)
+    want = np.array([v[k * n:(k + 1) * n][m.triangles].mean(axis=1)
+                     for k in range(neq)])
+    got = node_to_triangle(m, v, neq)
+    assert np.array_equal(got, want[0] if neq == 1 else want)

@@ -261,3 +261,96 @@ def test_no_fill_or_drop_product_without_periodization(monkeypatch,
         timeint.tint(st, 0.01, 2, pmod=1)
         assert len(st.callbacks.outfu(st, st.u)) == 2
         plot.plot_solution(st, 0, str(tmp_path / f"{name}.svg"))
+
+
+def _chase(n_full, partner):
+    """fill and drop by following each node's partner chain one node at a
+    time, as a reference for build_fill_drop."""
+    rep = []
+    for i in range(n_full):
+        j, seen = i, set()
+        while j in partner:
+            if j in seen:
+                raise periodic.PeriodicityError("cyclic node identification")
+            seen.add(j)
+            j = partner[j]
+        rep.append(j)
+    kept = sorted(set(rep))
+    cols = [kept.index(j) for j in rep]
+    fill = sp.coo_matrix((np.ones(n_full), (np.arange(n_full), cols)),
+                         shape=(n_full, len(kept))).tocsc()
+    drop = sp.coo_matrix((np.ones(len(kept)), (np.arange(len(kept)), kept)),
+                         shape=(len(kept), n_full)).tocsc()
+    return fill, drop
+
+
+def _assert_same_csc(got, want):
+    assert got.format == want.format == "csc" and got.shape == want.shape
+    for name in ("indptr", "indices", "data"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_fill_drop_equal_the_per_node_chase(data):
+    # random maps: chains of any length, self-maps and cycles
+    n = data.draw(st.integers(1, 40))
+    partner = data.draw(st.dictionaries(st.integers(0, n - 1),
+                                        st.integers(0, n - 1)))
+    try:
+        want = _chase(n, partner)
+    except periodic.PeriodicityError:
+        with pytest.raises(periodic.PeriodicityError):
+            periodic.build_fill_drop(n, partner)
+        return
+    for got, ref in zip(periodic.build_fill_drop(n, partner), want):
+        _assert_same_csc(got, ref)
+
+
+@pytest.mark.parametrize("cycle", [[0, 1], [0, 1, 2], [3, 0, 1, 2]])
+def test_a_cycle_behind_a_chain_is_rejected(cycle):
+    # node 4 leads into the cycle; the power-of-two cycles reach a fixed
+    # point of pointer jumping, the others none
+    partner = dict(zip(cycle, cycle[1:] + cycle[:1]))
+    partner[4] = cycle[0]
+    with pytest.raises(periodic.PeriodicityError):
+        periodic.build_fill_drop(6, partner)
+
+
+def _per_index(mesh, neq, bcper):
+    """fill and drop from partners found one grid index at a time."""
+    nx, ny = mesh.nx, mesh.ny
+    partner = {}
+    if bcper in (1, 3):
+        for ix in range(nx + 1):
+            partner[ny * (nx + 1) + ix] = ix
+    if bcper in (2, 3):
+        for iy in range(ny + 1):
+            partner[iy * (nx + 1) + nx] = iy * (nx + 1)
+    fill, drop = _chase(mesh.npoints, partner)
+    if neq > 1:
+        fill = sp.block_diag([fill] * neq, format="csc")
+        drop = sp.block_diag([drop] * neq, format="csc")
+    return fill, drop
+
+
+@pytest.mark.parametrize("neq", [1, 2])
+@pytest.mark.parametrize("bcper", [1, 2, 3])
+@pytest.mark.parametrize("nx, ny", [(1, 1), (6, 4), (3, 8)])
+def test_periodization_equals_the_per_index_reference(nx, ny, bcper, neq):
+    m = build_rect_mesh(1.0, 0.6, nx, ny)
+    per = periodic.build_periodization(m, neq, bcper)
+    fill, drop = _per_index(m, neq, bcper)
+    _assert_same_csc(per.fill, fill)
+    _assert_same_csc(per.drop, drop)
+    assert per.np_per * neq == per.nu_per == fill.shape[1]
+
+
+def test_mismatched_side_layouts_are_rejected():
+    for bcper, axis, side in ((1, 0, np.s_[-1:]), (2, 1, np.s_[:, -1:])):
+        m = build_rect_mesh(1.0, 1.0, 4, 3)
+        ids = np.arange(m.npoints).reshape(m.ny + 1, m.nx + 1)
+        m.points[ids[side].ravel()[1], axis] += 1e-3
+        with pytest.raises(periodic.PeriodicityError, match="do not match"):
+            periodic.build_periodization(m, 1, bcper)
