@@ -166,8 +166,18 @@ def assemble_interior(mesh: Mesh, coeffs: CoeffTensors, neq: int = 1) -> dict:
     def build(blocks):
         if not blocks:
             return sp.csc_matrix((neq * n, neq * n))
-        grid = [[blocks.get((r, s)) for s in range(neq)] for r in range(neq)]
-        return sp.bmat(grid, format="csc")
+        if neq == 1:
+            return blocks[(0, 0)]
+        # one COO over the present blocks (r, s), in row-major order: a block
+        # row or column without a block keeps its place in the shape
+        indptr, indices, _ = mesh.p1_pattern()
+        cols = np.repeat(np.arange(n), np.diff(indptr))
+        r, s = np.array(list(blocks)).T
+        vals = np.concatenate([blk.data for blk in blocks.values()])
+        return sp.coo_matrix(
+            (vals, ((indices + n * r[:, None]).ravel(),
+                    (cols + n * s[:, None]).ravel())),
+            shape=(neq * n, neq * n)).tocsc()
 
     return {"K": build(Kb), "Ma": build(Mb), "Kadv": build(Ab)}
 

@@ -3,7 +3,9 @@ Jacobian of (G, q) in (u, wtilde, alpha) plus one row, e_alpha or the
 weighted tangent), the one factorization of a square block that serves both
 the tangent and the stability index (factorize_square, checked_solve), the
 stacked bordered solve the tangent falls back on (blss), and the near-zero
-spectrum."""
+spectrum.  The time steppers' symmetric positive definite M + dt A is
+factorized instead by LAPACK's banded Cholesky in a reverse Cuthill-McKee
+order kept per sparsity pattern (FactorCache.factorize(A, spd=True))."""
 
 from __future__ import annotations
 
@@ -11,6 +13,7 @@ import gc
 import warnings
 
 import numpy as np
+import scipy.linalg as la
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -32,6 +35,14 @@ SOLVE_RTOL = 1e-10
 # SuperLU's default COLAMD, which orders for A^T A, fills far more on those
 # (1.11 M against 0.69 M nonzeros in L + U for M + dt A at 105 x 105).
 PERMC_SPEC = "MMD_AT_PLUS_A"
+# The band Cholesky is tried only when the half-bandwidth b of A in RCM order
+# has b^2 <= BAND_LIMIT sqrt(n); above it SuperLU's MMD-ordered LU is the
+# faster.  Measured with one BLAS thread on M + dt K (band / LU ms): square
+# meshes (b^2/sqrt(n) = N for acfold N x N) win to N = 300 at 567 / 692
+# (N = 105: 18 / 55, N = 250: 278 / 473); doubly periodic schnak (neq 2)
+# 90 x 90 (b^2/sqrt(n) = 564) at 64 / 74 and breaks even at 100 x 100 and
+# 110 x 110 (628 and 692); it loses at 120 x 120 (755) at 156 / 129.
+BAND_LIMIT = 400.0
 
 
 class SingularMatrixError(RuntimeError):
@@ -39,25 +50,43 @@ class SingularMatrixError(RuntimeError):
 
 
 class FactorCache:
-    """Sparse LU that counts its factorizations (factor_count) and keeps at
-    most one, held: continuation.cont's (key, (A0, lu)).  A factorization
-    drops it first, so that no two LUs are alive, and a copy takes none."""
+    """Sparse factorizations that are counted (factor_count).  It keeps at
+    most one factorization, held: continuation.cont's (key, (A0, lu)).  A
+    factorization drops it first, so that no two are alive.  It also keeps
+    band, the band Cholesky's order for the last pattern it saw; a copy
+    takes neither.  banded tells whether the last factorization was a band
+    Cholesky."""
 
     def __init__(self):
         self.factor_count = 0
         self.held = None
+        self.band = None
+        self.banded = False
 
     def __getstate__(self):
-        return dict(self.__dict__, held=None)
+        return dict(self.__dict__, held=None, band=None)
 
-    def factorize(self, A: sp.spmatrix, **options):
+    def factorize(self, A: sp.spmatrix, spd: bool = False, **options):
         """splu(A, permc_spec=PERMC_SPEC, **options), partial pivoting unless
         the options say otherwise; A itself is left as it is (splu would sort
-        a non-canonical CSC matrix in place, so it gets a copy)."""
+        a non-canonical CSC matrix in place, so it gets a copy).
+
+        With spd (A expected symmetric positive definite) A is first tried
+        by _band_cholesky; the LU is made only when that declines: A not
+        symmetric to SYMMETRY_RTOL, a band beyond BAND_LIMIT, or a
+        non-positive pivot.  Either factor offers solve(rhs, trans) and nnz.
+        """
         self.held = None
         A = A.tocsc()
         if not A.has_canonical_format:
             A = A.copy()
+        self.banded = False
+        if spd:
+            factor = self._band_cholesky(A)
+            if factor is not None:
+                self.banded = True
+                self.factor_count += 1
+                return factor
         try:
             with warnings.catch_warnings():
                 warnings.simplefilter("error", spla.MatrixRankWarning)
@@ -66,6 +95,88 @@ class FactorCache:
             raise SingularMatrixError(str(exc)) from exc
         self.factor_count += 1
         return lu
+
+    def _band_cholesky(self, A: sp.csc_matrix):
+        """BandCholesky of A in the RCM order of its pattern, or None.  The
+        order is computed once per exact pattern (indptr and indices) and
+        kept in band."""
+        A.sum_duplicates()     # a no-op unless factorize copied A
+        band = self.band
+        if band is None or not band.fits(A):
+            band = self.band = _BandOrder(A)
+        if band.slot is None:
+            return None
+        n = A.shape[0]
+        # ||A - A^T||_inf from each entry's difference with its mirror
+        asym = np.bincount(A.indices, np.abs(A.data - A.data[band.mirror]),
+                           n).max(initial=0.0)
+        if not asym <= SYMMETRY_RTOL * _infnorm(A):
+            return None
+        # the band is written column-major so that dpbtrf works in place
+        ab = np.zeros((band.b + 1) * n)
+        ab[band.slot] = A.data[band.lower]
+        try:
+            cb = la.cholesky_banded(ab.reshape((band.b + 1, n), order="F"),
+                                    overwrite_ab=True, lower=True,
+                                    check_finite=False)
+        except la.LinAlgError:
+            return None
+        return BandCholesky(cb, band.perm)
+
+
+class _BandOrder:
+    """A pattern's reverse Cuthill-McKee order and the scatter of A.data
+    into the lower band of P A P^T, stored as LAPACK's (b + 1) x n lower
+    band flattened column-major: entry (i, j), i >= j, at (i - j) + (b + 1) j.
+    slot is None when the pattern is not structurally symmetric or the band
+    exceeds BAND_LIMIT; mirror is the data index of each entry's transpose."""
+
+    def __init__(self, A: sp.csc_matrix):
+        self.indptr, self.indices = A.indptr.copy(), A.indices.copy()
+        self.slot = None
+        n = A.shape[0]
+        T = sp.csc_matrix((np.arange(A.nnz), A.indices, A.indptr),
+                          shape=A.shape).T.tocsc()
+        if not (np.array_equal(T.indptr, A.indptr)
+                and np.array_equal(T.indices, A.indices)):
+            return
+        self.mirror = T.data
+        # imported here: csgraph adds about 1 MB to a process that never
+        # time-steps
+        from scipy.sparse import csgraph
+        self.perm = csgraph.reverse_cuthill_mckee(A, symmetric_mode=True)
+        inv = np.empty(n, dtype=np.int64)
+        inv[self.perm] = np.arange(n)
+        i = inv[A.indices]
+        j = inv[np.repeat(np.arange(n), np.diff(A.indptr))]
+        self.lower = np.flatnonzero(i >= j)
+        d, j = i[self.lower] - j[self.lower], j[self.lower]
+        self.b = int(d.max(initial=0))
+        if self.b ** 2 <= BAND_LIMIT * np.sqrt(n):
+            self.slot = d + (self.b + 1) * j
+
+    def fits(self, A: sp.csc_matrix) -> bool:
+        return (np.array_equal(self.indptr, A.indptr)
+                and np.array_equal(self.indices, A.indices))
+
+
+class BandCholesky:
+    """P A P^T = L L^T with L lower banded (LAPACK dpbtrf's factor cb) and
+    P the RCM order perm.  nnz is the band's stored entries, n (b + 1)."""
+
+    def __init__(self, cb: np.ndarray, perm: np.ndarray):
+        self.cb, self.perm = cb, perm
+        self.nnz = cb.size
+
+    def solve(self, rhs: np.ndarray, trans: str = "N") -> np.ndarray:
+        """A^{-1} rhs for a 1-D or 2-D rhs; A is symmetric, so every trans
+        solves the same system."""
+        y = la.cho_solve_banded((self.cb, True),
+                                np.asarray(rhs, dtype=float)[self.perm],
+                                overwrite_b=True, check_finite=False)
+        x = np.empty_like(y)
+        x[self.perm] = y
+        return x
 
 
 def solve(lu, rhs: np.ndarray, trans: str = "N") -> np.ndarray:

@@ -2,10 +2,15 @@
 
 The two integrators differ only in their step.  tint reassembles the
 general path at every step (problem.assemble_general) and solves
-(M + dt A(u^n)) u^{n+1} = M u^n + dt F(u^n) by a fresh LU.  tints keeps the
-stiff operator K fixed, LU-factorizes Lambda = M + dt K once per call and
-takes the explicit forcing from the problem's semilinear declaration unless
-the caller passes a splitting, so each step is a pair of triangular solves.
+(M + dt A(u^n)) u^{n+1} = M u^n + dt F(u^n) by a fresh factorization.  tints
+keeps the stiff operator K fixed, factorizes Lambda = M + dt K once per call
+and takes the explicit forcing from the problem's semilinear declaration
+unless the caller passes a splitting, so each step is a pair of triangular
+solves.  Both ask for the band Cholesky (FactorCache.factorize with spd),
+which serves a symmetric positive definite operator (diffusion, mass and
+boundary springs, as on acfold and bratu); a nonsymmetric one (advection,
+cross-diffusion or a reaction in the implicit part, as on schnak and
+acfront) or one the Cholesky refuses takes SuperLU's LU.
 One loop (_march) keeps u, the model time demo_config["time"], the records
 and the step failures for both.  Neither has error or stepsize control.
 """
@@ -29,15 +34,20 @@ def tint(state, dt, nt, pmod=10):
     assembled matrix term (diffusion, reaction, advection, boundary) and F
     the load and boundary-source terms.  Records the residual time series
     every pmod steps and writes snapshots when an output directory is set.
-    Each step's LU is counted in state.ops.cache.
+    Each step's factorization is counted in state.ops.cache; once one step
+    has fallen back from the band Cholesky to the LU, the rest of the call
+    goes straight to the LU.
     """
-    M, w = state.ops.M, state.pars()
+    M, w, cache = state.ops.M, state.pars(), state.ops.cache
+    spd = True
 
     def step(u):
+        nonlocal spd
         U = np.concatenate([u, w])
         A, F = problem.assemble_general(state, U, state.callbacks.G(state, U),
                                         state.callbacks.bc)
-        lu = state.ops.cache.factorize(M + dt * A)
+        lu = cache.factorize(M + dt * A, spd=spd)
+        spd = cache.banded
         return linsolve.solve(lu, M @ u + dt * F)
     return _march(state, dt, nt, pmod, step)
 
@@ -63,7 +73,7 @@ def tints(state, dt, nt, pmod, forcing=None, K=None, diagnostics=True):
         K = K0 if K is None else K
     M = state.ops.M
     try:
-        lu = state.ops.cache.factorize((M + dt * K).tocsc())
+        lu = state.ops.cache.factorize((M + dt * K).tocsc(), spd=True)
     except linsolve.SingularMatrixError as exc:
         raise TimeintError("stiff operator factorization failed") from exc
 

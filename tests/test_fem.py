@@ -351,6 +351,21 @@ def test_boundary_q_keeps_its_shape_with_an_empty_block_row():
     assert np.array_equal(got["Gb"], np.append(one["Gb"], np.zeros(n)))
 
 
+def test_interior_operators_keep_their_shape_with_an_empty_block_row():
+    # diffusion on component 0 only: K is still neq n x neq n, its other
+    # blocks empty
+    m = build_rect_mesh(1.0, 1.0, 3, 3)
+    n = m.npoints
+    c = np.zeros((m.ntri, 2, 2, 2, 2))
+    c[:, 0, 0] = np.eye(2)
+    got = fem.assemble_interior(m, fem.CoeffTensors(c=c), 2)
+    one = fem.assemble_interior(m, fem.CoeffTensors(c=1.0), 1)
+    for name in ("K", "Ma", "Kadv"):
+        assert got[name].shape == (2 * n, 2 * n)
+    assert got["K"][n:].nnz == 0 and got["K"][:, n:].nnz == 0
+    assert _same_csc(got["K"][:n, :n], one["K"])
+
+
 @pytest.mark.parametrize("neq", [1, 2])
 def test_load_equals_the_add_at_reference(neq):
     m = build_rect_mesh(1.0, 0.7, 7, 6)

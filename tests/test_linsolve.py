@@ -254,3 +254,54 @@ def test_infnorm_equals_the_row_sums_of_abs(A):
     A.data -= 0.5           # entries of both signs
     A.sum_duplicates()      # canonical: CSR rows summed in column order
     assert linsolve._infnorm(A) == float(abs(A).sum(axis=1).max())
+
+
+def _tint_matrix(st, dt):
+    U = np.array(st.u)
+    A, _ = problem.assemble_general(st, U, st.callbacks.G(st, U),
+                                    st.callbacks.bc)
+    return (st.ops.M + dt * A).tocsc()
+
+
+def _splitting_matrix(st, dt):
+    # diffusion and boundary springs implicit, as tints' schnak splitting
+    return (st.ops.M + dt * (st.ops.K + st.ops.Q)).tocsc()
+
+
+@pytest.mark.parametrize("build, name, config", [
+    (_tint_matrix, "acfold", {"nx": 30, "ny": 27}),
+    (_splitting_matrix, "schnak", {"bcper": 1}),
+    (_splitting_matrix, "schnak", {"bcper": 3}),
+], ids=["acfold_tint", "schnak_bcper1", "schnak_bcper3"])
+def test_band_cholesky_solves_as_superlu(build, name, config):
+    st = demos.make(name, config)
+    demos.perturb(st, 4)
+    A = build(st, 0.05)
+    cache = linsolve.FactorCache()
+    band = cache.factorize(A, spd=True)
+    assert cache.banded and cache.factor_count == 1
+    assert isinstance(band, linsolve.BandCholesky)
+    b = cache.band.b
+    assert band.nnz == A.shape[0] * (b + 1) and b * b < A.shape[0]
+    lu = linsolve.FactorCache().factorize(A)
+    rhs = np.random.default_rng(5).standard_normal((A.shape[0], 3))
+    for r in (rhs[:, 0], rhs):
+        for trans in ("N", "T"):
+            want = lu.solve(r, trans)
+            got = band.solve(r, trans)
+            assert got.shape == want.shape
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_band_cholesky_declines_and_the_lu_serves():
+    # a nonsymmetric matrix, then a symmetric indefinite one: neither is
+    # factorized by the band Cholesky, both are solved by the LU
+    A = _spd(60, 7)
+    x = np.linspace(1.0, 2.0, 60)
+    cache = linsolve.FactorCache()
+    shift = A.diagonal().mean() * sp.identity(60)   # inside the spectrum
+    for B in ((A + sp.triu(A, 1)).tocsc(), (A - shift).tocsc()):
+        lu = cache.factorize(B, spd=True)
+        assert not cache.banded
+        assert np.allclose(lu.solve(B @ x), x, atol=1e-9)
+    assert cache.factor_count == 2

@@ -1,9 +1,13 @@
 import copy
+import dataclasses
+import pickle
 
 import numpy as np
 import pytest
+import scipy.sparse.csgraph as csgraph
+import scipy.sparse.linalg as spla
 
-from pdecont import demos, fem, problem, timeint
+from pdecont import demos, fem, linsolve, problem, timeint
 from pdecont.timeint import TimeintError, tint, tints
 
 
@@ -198,3 +202,80 @@ def test_tint_counts_one_factorization_per_step():
     before = st.ops.cache.factor_count
     tint(st, 0.01, 5, pmod=5)
     assert st.ops.cache.factor_count == before + 5
+
+
+def _count_calls(monkeypatch, owner, name, fail=False):
+    """Wrap owner.name so that its calls are counted (or refused)."""
+    calls, original = [], getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        if fail:
+            raise AssertionError(f"{name} called")
+        return original(*args, **kwargs)
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("demo", ["acfold", "bratu"])
+def test_tint_and_tints_take_the_band_cholesky(monkeypatch, demo):
+    # a broken band path must not hide behind the LU: splu may not run
+    st = demos.make(demo, {"nx": 12, "ny": 10})
+    demos.perturb(st, 2)
+    _count_calls(monkeypatch, spla, "splu", fail=True)
+    before = st.ops.cache.factor_count
+    tint(st, 0.01, 5, pmod=5)
+    assert st.ops.cache.banded and st.ops.cache.factor_count == before + 5
+    tints(st, 0.01, 5, 5)
+    assert st.ops.cache.banded and st.ops.cache.factor_count == before + 6
+
+
+@pytest.mark.parametrize("demo", ["schnak", "acfront"])
+def test_tint_falls_back_to_the_lu_on_nonsymmetric_operators(monkeypatch,
+                                                             demo):
+    st = demos.make(demo)
+    demos.perturb(st, 2)
+    lus = _count_calls(monkeypatch, spla, "splu")
+    tint(st, 0.01, 4, pmod=4)
+    assert len(lus) == 4 and not st.ops.cache.banded
+
+
+def test_indefinite_operator_costs_one_band_attempt_per_call(monkeypatch):
+    # a strong linear reaction makes M + dt A symmetric but indefinite: the
+    # first step's Cholesky fails, the call's later steps go to the LU
+    st = demos.make("acfold", {"nx": 10, "ny": 9})
+    demos.perturb(st, 3)
+    G = st.callbacks.G
+    st.callbacks.G = lambda s, U: dataclasses.replace(G(s, U), a=-30.0)
+    ref = copy.deepcopy(st)
+    attempts = _count_calls(monkeypatch, linsolve.la, "cholesky_banded")
+    lus = _count_calls(monkeypatch, spla, "splu")
+    for k in range(2):
+        tint(st, 1.0, 3, pmod=3)
+        assert len(attempts) == k + 1 and len(lus) == 3 * (k + 1)
+    M = ref.ops.M
+    for _ in range(6):
+        U = np.array(ref.u)
+        A, F = problem.assemble_general(ref, U, ref.callbacks.G(ref, U),
+                                        ref.callbacks.bc)
+        assert np.linalg.eigvalsh((M + A).toarray()).min() < 0
+        ref.u[:ref.nu] = spla.spsolve((M + A).tocsc(), M @ U[:ref.nu] + F)
+    u, want = st.u[:st.nu], ref.u[:ref.nu]
+    assert np.abs(u - want).max() <= 1e-10 * np.abs(want).max()
+
+
+def test_rcm_order_is_computed_once_per_pattern(monkeypatch):
+    st = demos.make("acfold", {"nx": 12, "ny": 10})
+    demos.perturb(st, 1)
+    orders = _count_calls(monkeypatch, csgraph, "reverse_cuthill_mckee")
+    tint(st, 0.01, 10, pmod=10)
+    assert len(orders) == 1 and st.ops.cache.banded
+
+
+def test_copies_carry_no_band_order():
+    st = demos.make("acfold", {"nx": 8, "ny": 7})
+    tint(st, 0.01, 2, pmod=2)
+    assert st.ops.cache.band is not None
+    assert copy.deepcopy(st).ops.cache.band is None
+    assert pickle.loads(pickle.dumps(st.ops)).cache.band is None
+    assert st.ops.cache.band is not None
