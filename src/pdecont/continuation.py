@@ -112,7 +112,7 @@ def _newton(state, U, border, y_base, ds):
                 if lu is None or not chord:
                     lu = None
                     A = problem.jacobian_active(state, U, f0=r)
-                    A = (A[:, :-1] if border is None
+                    A = (linsolve.split_last_column(A)[0] if border is None
                          else linsolve.bordered(A, border))
                     lu = state.ops.cache.factorize(A)
                 dy = linsolve.solve(lu, -f)
@@ -172,7 +172,7 @@ def unit_tangent(state, U, border, f0=None, index=False):
     """
     J = problem.jacobian_active(state, U, f0)
     n, nb = J.shape[0], state.ops.per.nu_per
-    A0, a = J[:, :n], J[:, n].toarray().ravel()
+    A0, a = linsolve.split_last_column(J)
 
     def block_index():
         return linsolve.stability_index(J[:nb, :nb], state.ops.M,

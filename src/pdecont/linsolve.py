@@ -5,11 +5,23 @@ the tangent and the stability index (factorize_square, checked_solve), the
 stacked bordered solve the tangent falls back on (blss), and the near-zero
 spectrum.  The time steppers' symmetric positive definite M + dt A is
 factorized instead by LAPACK's banded Cholesky in a reverse Cuthill-McKee
-order kept per sparsity pattern (FactorCache.factorize(A, spd=True))."""
+order (FactorCache.factorize(A, spd=True)), on one BLAS thread.
+
+What a factorization needs of A's sparsity pattern alone is computed once
+per exact pattern and kept by the FactorCache (_Pattern): the transpose map
+its symmetry probes use, SuperLU's minimum-degree column order of each
+factor kind, taken from the pattern's first LU, and the band order.  A
+later LU of the pattern factorizes A's copy in the kept order, without
+ordering it again (PermutedLU)."""
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
 import gc
+import glob
+import os
 import warnings
 
 import numpy as np
@@ -29,12 +41,24 @@ PIVOT_RTOL = 1e-12
 # checked_solve accepts x when ||A x - b||_inf <= SOLVE_RTOL
 # (||A||_inf ||x||_inf + ||b||_inf) after one step of iterative refinement
 SOLVE_RTOL = 1e-10
-# Column ordering of every LU: minimum degree on the pattern of A^T + A.
-# Every matrix factorized here is a structurally symmetric P1 operator, at
-# most bordered by dense rows and columns; above about a thousand unknowns
-# SuperLU's default COLAMD, which orders for A^T A, fills far more on those
-# (1.11 M against 0.69 M nonzeros in L + U for M + dt A at 105 x 105).
+# Column ordering of every LU: minimum degree on the pattern of A^T + A,
+# computed by SuperLU at a pattern's first LU of each factor kind and kept
+# for its later ones.  Every matrix factorized here is a structurally
+# symmetric P1 operator, at most bordered by dense rows and columns; above
+# about a thousand unknowns SuperLU's default COLAMD, which orders for
+# A^T A, fills far more on those (1.11 M against 0.69 M nonzeros in L + U
+# for M + dt A at 105 x 105).
 PERMC_SPEC = "MMD_AT_PLUS_A"
+# The options of the symmetric-mode LU, P A P^T = L D L^T (factorize_square);
+# the LU without options is SuperLU's partial pivoting.  These are the two
+# factor kinds whose column order a FactorCache keeps per pattern.
+SYMMETRIC_MODE = {"diag_pivot_thresh": 0, "options": {"SymmetricMode": True}}
+# Sparsity patterns a FactorCache keeps, the most recently used first.  A
+# continuation alternates between a few: the square block and the bordered
+# matrix, in the base and in the fold system; and the frozen front's A0,
+# whose dense rows drop exact zeros, comes back to its usual pattern after
+# up to three others.
+PATTERNS_KEPT = 4
 # The band Cholesky is tried only when the half-bandwidth b of A in RCM order
 # has b^2 <= BAND_LIMIT sqrt(n); above it SuperLU's MMD-ordered LU is the
 # faster.  Measured with one BLAS thread on M + dt K (band / LU ms): square
@@ -53,33 +77,53 @@ class FactorCache:
     """Sparse factorizations that are counted (factor_count).  It keeps at
     most one factorization, held: continuation.cont's (key, (A0, lu)).  A
     factorization drops it first, so that no two are alive.  It also keeps
-    band, the band Cholesky's order for the last pattern it saw; a copy
-    takes neither.  banded tells whether the last factorization was a band
-    Cholesky."""
+    patterns, the _Pattern records of the last PATTERNS_KEPT sparsity
+    patterns it saw, the most recently used first; a copy takes neither.
+    banded tells whether the last factorization was a band Cholesky."""
 
     def __init__(self):
         self.factor_count = 0
         self.held = None
-        self.band = None
+        self.patterns = []
         self.banded = False
 
     def __getstate__(self):
-        return dict(self.__dict__, held=None, band=None)
+        return dict(self.__dict__, held=None, patterns=[])
+
+    @property
+    def band(self):
+        """The most recently used record that holds a band order (b, perm),
+        or None."""
+        return next((rec for rec in self.patterns if rec.b is not None), None)
+
+    def pattern(self, A: sp.csc_matrix) -> "_Pattern":
+        """The record of A's exact pattern (A canonical CSC), made when the
+        cache has none; it becomes the most recently used."""
+        for k, rec in enumerate(self.patterns):
+            if rec.fits(A):
+                self.patterns.insert(0, self.patterns.pop(k))
+                return rec
+        rec = _Pattern(A)
+        self.patterns = [rec] + self.patterns[:PATTERNS_KEPT - 1]
+        return rec
 
     def factorize(self, A: sp.spmatrix, spd: bool = False, **options):
         """splu(A, permc_spec=PERMC_SPEC, **options), partial pivoting unless
         the options say otherwise; A itself is left as it is (splu would sort
         a non-canonical CSC matrix in place, so it gets a copy).
 
+        Without options, or with SYMMETRIC_MODE's, the LU orders A's columns
+        only at the first factorization of its pattern in that kind; later
+        ones factorize A in the kept order (PermutedLU).  A caller's
+        permc_spec, or any other options, bypass the kept order.
+
         With spd (A expected symmetric positive definite) A is first tried
         by _band_cholesky; the LU is made only when that declines: A not
         symmetric to SYMMETRY_RTOL, a band beyond BAND_LIMIT, or a
-        non-positive pivot.  Either factor offers solve(rhs, trans) and nnz.
+        non-positive pivot.  Every factor offers solve(rhs, trans) and nnz.
         """
         self.held = None
-        A = A.tocsc()
-        if not A.has_canonical_format:
-            A = A.copy()
+        A = _canonical(A)
         self.banded = False
         if spd:
             factor = self._band_cholesky(A)
@@ -87,77 +131,243 @@ class FactorCache:
                 self.banded = True
                 self.factor_count += 1
                 return factor
+        kind = ("pivoting" if not options
+                else "symmetric" if options == SYMMETRIC_MODE else None)
         try:
             with warnings.catch_warnings():
                 warnings.simplefilter("error", spla.MatrixRankWarning)
-                lu = spla.splu(A, **{"permc_spec": PERMC_SPEC, **options})
+                if kind is None:
+                    lu = spla.splu(A, **{"permc_spec": PERMC_SPEC, **options})
+                else:
+                    lu = self.pattern(A).lu(A, kind)
         except (RuntimeError, spla.MatrixRankWarning) as exc:
             raise SingularMatrixError(str(exc)) from exc
         self.factor_count += 1
         return lu
 
     def _band_cholesky(self, A: sp.csc_matrix):
-        """BandCholesky of A in the RCM order of its pattern, or None.  The
-        order is computed once per exact pattern (indptr and indices) and
-        kept in band."""
-        A.sum_duplicates()     # a no-op unless factorize copied A
-        band = self.band
-        if band is None or not band.fits(A):
-            band = self.band = _BandOrder(A)
-        if band.slot is None:
-            return None
-        n = A.shape[0]
-        # ||A - A^T||_inf from each entry's difference with its mirror
-        asym = np.bincount(A.indices, np.abs(A.data - A.data[band.mirror]),
-                           n).max(initial=0.0)
-        if not asym <= SYMMETRY_RTOL * _infnorm(A):
+        """BandCholesky of A in the RCM order of its pattern, or None."""
+        rec = self.pattern(A)
+        rec.band_order()
+        if (rec.slot is None
+                or not _asymmetry(A, rec) <= SYMMETRY_RTOL * _infnorm(A)):
             return None
         # the band is written column-major so that dpbtrf works in place
-        ab = np.zeros((band.b + 1) * n)
-        ab[band.slot] = A.data[band.lower]
+        n = A.shape[0]
+        ab = np.zeros((rec.b + 1) * n)
+        ab[rec.slot] = A.data[rec.lower]
         try:
-            cb = la.cholesky_banded(ab.reshape((band.b + 1, n), order="F"),
-                                    overwrite_ab=True, lower=True,
-                                    check_finite=False)
+            with _one_blas_thread():
+                cb = la.cholesky_banded(
+                    ab.reshape((rec.b + 1, n), order="F"), overwrite_ab=True,
+                    lower=True, check_finite=False)
         except la.LinAlgError:
             return None
-        return BandCholesky(cb, band.perm)
+        return BandCholesky(cb, rec.perm)
 
 
-class _BandOrder:
-    """A pattern's reverse Cuthill-McKee order and the scatter of A.data
-    into the lower band of P A P^T, stored as LAPACK's (b + 1) x n lower
-    band flattened column-major: entry (i, j), i >= j, at (i - j) + (b + 1) j.
-    slot is None when the pattern is not structurally symmetric or the band
-    exceeds BAND_LIMIT; mirror is the data index of each entry's transpose."""
+class _Pattern:
+    """What the factorizations of one exact sparsity pattern (indptr and
+    indices of a canonical CSC matrix) share.
+
+    - mirror: the data index of each entry's transpose, None when the
+      pattern is not structurally symmetric.
+    - order[kind]: the column order q of the factor kind ("pivoting" or
+      "symmetric"), argsort of perm_c of the pattern's first LU of that kind
+      (SuperLU's A P_c is A[:, argsort(perm_c)]).  A later LU factorizes
+      A[:, q], or A[q][:, q] in symmetric mode, in its natural order,
+      gathered through an index array made at that second LU.
+    - the band Cholesky's reverse Cuthill-McKee order perm and the scatter
+      of A.data into the lower band of P A P^T, stored as LAPACK's (b + 1)
+      x n lower band flattened column-major: entry (i, j), i >= j, at
+      (i - j) + (b + 1) j.  Made at the first band_order; slot is None when
+      the pattern is not structurally symmetric or the band exceeds
+      BAND_LIMIT."""
 
     def __init__(self, A: sp.csc_matrix):
+        self.shape = A.shape
         self.indptr, self.indices = A.indptr.copy(), A.indices.copy()
-        self.slot = None
-        n = A.shape[0]
-        T = sp.csc_matrix((np.arange(A.nnz), A.indices, A.indptr),
-                          shape=A.shape).T.tocsc()
-        if not (np.array_equal(T.indptr, A.indptr)
-                and np.array_equal(T.indices, A.indices)):
+        self.order = {}
+        self._gather = {}
+        self.b = self.slot = None
+
+    def fits(self, A: sp.csc_matrix) -> bool:
+        return (A.shape == self.shape and A.nnz == len(self.indices)
+                and np.array_equal(self.indptr, A.indptr)
+                and np.array_equal(self.indices, A.indices))
+
+    @functools.cached_property
+    def mirror(self):
+        T = sp.csc_matrix((np.arange(len(self.indices),
+                                     dtype=self.indices.dtype),
+                           self.indices, self.indptr),
+                          shape=self.shape).T.tocsc()
+        if (T.shape == self.shape and np.array_equal(T.indptr, self.indptr)
+                and np.array_equal(T.indices, self.indices)):
+            return T.data
+        return None
+
+    def lu(self, A: sp.csc_matrix, kind: str):
+        """SuperLU of A (this record's pattern) for the factor kind: at the
+        kind's first LU ordered by SuperLU (PERMC_SPEC), whose order is kept,
+        and later in that order (a PermutedLU)."""
+        options = SYMMETRIC_MODE if kind == "symmetric" else {}
+        q = self.order.get(kind)
+        if q is None:
+            # allocated before the LU, so that it does not sit in the heap
+            # above the LU's freed memory
+            q = np.empty(A.shape[1], dtype=np.intp)
+            lu = spla.splu(A, permc_spec=PERMC_SPEC, **options)
+            q[lu.perm_c] = np.arange(len(q))
+            self.order[kind] = q
+            return lu
+        if kind not in self._gather:
+            self._gather[kind] = self._permutation(q, kind == "symmetric")
+        take, indices, indptr, data = self._gather[kind]
+        # written in place: a buffer made per LU would be freed while the
+        # LU lives, and leave the heap fragmented below it
+        np.take(A.data, take, out=data)
+        B = sp.csc_matrix((data, indices, indptr), shape=A.shape)
+        B.has_canonical_format = True
+        lu = spla.splu(B, permc_spec="NATURAL", **options)
+        return PermutedLU(lu, q if kind == "symmetric" else None, q)
+
+    def _permutation(self, q: np.ndarray, rows: bool) -> tuple:
+        """(take, indices, indptr, data) of the canonical CSC copy B =
+        A[:, q], or A[q][:, q] with rows: B.data = A.data[take], written
+        into data."""
+        counts = np.diff(self.indptr)[q]
+        indptr = np.zeros(len(q) + 1, dtype=self.indptr.dtype)
+        np.cumsum(counts, out=indptr[1:])
+        take = (np.repeat(self.indptr[q] - indptr[:-1], counts)
+                + np.arange(indptr[-1]))
+        indices = self.indices[take]
+        if rows:
+            inv = np.empty_like(q)
+            inv[q] = np.arange(len(q))
+            indices = inv[indices].astype(self.indices.dtype)
+            # sorted within each column: column-major keys
+            sort = np.argsort(np.repeat(np.arange(len(q)), counts)
+                              * len(q) + indices, kind="stable")
+            take, indices = take[sort], indices[sort]
+        return (take.astype(self.indices.dtype), indices, indptr,
+                np.empty(len(take)))
+
+    def band_order(self):
+        """Compute the band Cholesky's order once (see the class)."""
+        if self.b is not None or self.mirror is None:
             return
-        self.mirror = T.data
         # imported here: csgraph adds about 1 MB to a process that never
         # time-steps
         from scipy.sparse import csgraph
+        n = self.shape[0]
+        A = sp.csc_matrix((np.ones(len(self.indices)), self.indices,
+                           self.indptr), shape=self.shape)
         self.perm = csgraph.reverse_cuthill_mckee(A, symmetric_mode=True)
         inv = np.empty(n, dtype=np.int64)
         inv[self.perm] = np.arange(n)
-        i = inv[A.indices]
-        j = inv[np.repeat(np.arange(n), np.diff(A.indptr))]
+        i = inv[self.indices]
+        j = inv[np.repeat(np.arange(n), np.diff(self.indptr))]
         self.lower = np.flatnonzero(i >= j)
         d, j = i[self.lower] - j[self.lower], j[self.lower]
         self.b = int(d.max(initial=0))
         if self.b ** 2 <= BAND_LIMIT * np.sqrt(n):
             self.slot = d + (self.b + 1) * j
 
-    def fits(self, A: sp.csc_matrix) -> bool:
-        return (np.array_equal(self.indptr, A.indptr)
-                and np.array_equal(self.indices, A.indices))
+
+class PermutedLU:
+    """The LU of A from SuperLU's LU of its copy B = A[p][:, q] (p None: B =
+    A[:, q]) in B's natural order, with the members the package uses in A's
+    numbering: solve(rhs, trans), nnz, perm_r and perm_c (Pr A Pc = L U).
+    U is B's, whose diagonal holds the same pivots in the same elimination
+    order as an LU of A ordered by q."""
+
+    def __init__(self, lu, p, q):
+        self._lu, self._p, self._q = lu, p, q
+        self.nnz = lu.nnz
+
+    @property
+    def U(self):
+        return self._lu.U
+
+    @property
+    def perm_r(self) -> np.ndarray:
+        r = np.argsort(self._lu.perm_r)
+        return np.argsort(r if self._p is None else self._p[r])
+
+    @property
+    def perm_c(self) -> np.ndarray:
+        return np.argsort(self._q[np.argsort(self._lu.perm_c)])
+
+    def solve(self, rhs: np.ndarray, trans: str = "N") -> np.ndarray:
+        """A^{-1} rhs (A^T for trans "T") for a 1-D or 2-D rhs."""
+        rhs = np.asarray(rhs, dtype=float)
+        rows, cols = (self._p, self._q) if trans == "N" else (self._q, self._p)
+        y = self._lu.solve(rhs if rows is None else rhs[rows], trans)
+        if cols is None:
+            return y
+        x = np.empty_like(y)
+        x[cols] = y
+        return x
+
+
+def _canonical(A: sp.spmatrix) -> sp.csc_matrix:
+    """A as canonical CSC; a copy where A is not (splu would sort a
+    non-canonical CSC matrix in place)."""
+    A = A.tocsc()
+    if not A.has_canonical_format:
+        A = A.copy()
+        A.sum_duplicates()
+    return A
+
+
+def _asymmetry(A: sp.csc_matrix, rec: _Pattern) -> float:
+    """||A - A^T||_inf: from each entry's difference with its mirror where
+    A's pattern rec is structurally symmetric, from A - A^T where not."""
+    if rec.mirror is None:
+        return _infnorm(A - A.T)
+    return float(np.bincount(A.indices, np.abs(A.data - A.data[rec.mirror]),
+                             A.shape[0]).max(initial=0.0))
+
+
+@functools.cache
+def _openblas():
+    """scipy's bundled OpenBLAS (scipy.libs/libscipy_openblas-*.so) when it
+    exports its thread-count functions, else None."""
+    import scipy
+    libs = sorted(glob.glob(os.path.join(os.path.dirname(scipy.__file__),
+                                         os.pardir, "scipy.libs",
+                                         "libscipy_openblas*.so")))
+    for path in libs:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        if (hasattr(lib, "scipy_openblas_get_num_threads")
+                and hasattr(lib, "scipy_openblas_set_num_threads")):
+            lib.scipy_openblas_get_num_threads.argtypes = []
+            lib.scipy_openblas_get_num_threads.restype = ctypes.c_int
+            lib.scipy_openblas_set_num_threads.argtypes = [ctypes.c_int]
+            lib.scipy_openblas_set_num_threads.restype = None
+            return lib
+    return None
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the block on one OpenBLAS thread and restore the caller's count;
+    a no-op where _openblas finds no library.  The band factorization is
+    the slower for a second thread (dpbtrf at 105 x 105: 17.5 ms on one
+    thread, 23.9 ms on two)."""
+    lib = _openblas()
+    n = 1 if lib is None else lib.scipy_openblas_get_num_threads()
+    if n > 1:
+        lib.scipy_openblas_set_num_threads(1)
+    try:
+        yield
+    finally:
+        if n > 1:
+            lib.scipy_openblas_set_num_threads(n)
 
 
 class BandCholesky:
@@ -211,6 +421,19 @@ def bordered(A: sp.csc_matrix, row: np.ndarray) -> sp.csc_matrix:
                          shape=(A.shape[0] + 1, A.shape[1]))
 
 
+def split_last_column(J: sp.csc_matrix) -> tuple:
+    """(J[:, :-1], J[:, -1] as a dense vector) of a canonical CSC J, taken
+    off its arrays: the leading columns share J's storage."""
+    n = J.shape[1] - 1
+    end, nnz = J.indptr[n], J.indptr[n + 1]
+    A = sp.csc_matrix((J.data[:end], J.indices[:end], J.indptr[:n + 1]),
+                      shape=(J.shape[0], n))
+    A.has_canonical_format = True
+    a = np.zeros(J.shape[0])
+    a[J.indices[end:nnz]] = J.data[end:nnz]
+    return A, a
+
+
 def blss(A: sp.spmatrix, border_row: np.ndarray, border_rhs: float,
          rhs: np.ndarray, cache: FactorCache | None = None) -> np.ndarray:
     """Solve [[A], [border_row^T]] x = (rhs, border_rhs), A n x (n+1), by
@@ -241,12 +464,12 @@ def factorize_square(A: sp.spmatrix, cache: FactorCache | None = None):
 def _inertia_lu(A: sp.csc_matrix, cache: FactorCache):
     """factorize_square's accepted symmetric-mode LU and its count of
     negative pivots, or None."""
+    A = _canonical(A)
     norm = _infnorm(A)
-    if _infnorm(A - A.T) > SYMMETRY_RTOL * norm:
+    if _asymmetry(A, cache.pattern(A)) > SYMMETRY_RTOL * norm:
         return None
     try:
-        lu = cache.factorize(A, diag_pivot_thresh=0,
-                             options={"SymmetricMode": True})
+        lu = cache.factorize(A, **SYMMETRIC_MODE)
     except SingularMatrixError:
         return None
     d = lu.U.diagonal()

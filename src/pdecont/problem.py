@@ -358,6 +358,15 @@ def pde_jacobian_u(state: ProblemState, U: np.ndarray) -> sp.csc_matrix:
     return tensor_jacobian_u(state, U)
 
 
+def jacobian_u_times(state: ProblemState, U: np.ndarray,
+                     phi: np.ndarray) -> np.ndarray:
+    """(d_u G) phi at U in normal mode: matrix-free for a semilinear
+    declaration with switches.jac 1, else pde_jacobian_u(state, U) @ phi."""
+    if state.switches.jac == 1 and state.callbacks.semilinear is not None:
+        return _semilinear_jacobian_times(state, U, phi)
+    return pde_jacobian_u(state, U) @ phi
+
+
 def tensor_jacobian_u(state: ProblemState, U: np.ndarray) -> sp.csc_matrix:
     """d(tensor_residual)/du: A from the tensors of callbacks.Gjac and the
     boundary provider bcjac (bc when unset), less the load's derivative
@@ -409,25 +418,23 @@ def residual(state: ProblemState, U: np.ndarray | None = None) -> np.ndarray:
 
 
 def aux_jacobian_u(state: ProblemState, U: np.ndarray) -> sp.csc_matrix:
+    """d q / du, aux_rows as CSC."""
+    return sp.csc_matrix(aux_rows(state, U))
+
+
+def aux_rows(state: ProblemState, U: np.ndarray) -> np.ndarray:
+    """d q / du as dense (nq, nu) rows: callbacks.qjac's (switches.qjac 1),
+    else forward differences."""
     if state.nq == 0:
-        return sp.csc_matrix((0, state.nu))
+        return np.zeros((0, state.nu))
     if state.mode == "spcont":
         from . import spcont as _spcont
-        return _spcont.extended_aux_jacobian_u(state, U)
+        return _spcont.extended_aux_rows(state, U)
     if state.switches.qjac == 1 and state.callbacks.qjac is not None:
-        return full_csc(np.atleast_2d(state.callbacks.qjac(state, U)))
-    return full_csc(fd_columns(lambda V: aux_residual(state, V), U,
-                               range(state.nu), state.controls.del_))
-
-
-def full_csc(A: np.ndarray) -> sp.csc_matrix:
-    """The dense rows A as CSC that stores every entry, zeros too: its
-    pattern does not depend on the values, so its layout slots stay."""
-    m, n = A.shape
-    return sp.csc_matrix((np.asarray(A, dtype=float).ravel(order="F"),
-                          np.tile(np.arange(m, dtype=np.int32), n),
-                          np.arange(0, m * n + 1, m, dtype=np.int32)),
-                         shape=(m, n))
+        return np.atleast_2d(np.asarray(state.callbacks.qjac(state, U),
+                                        dtype=float))
+    return fd_columns(lambda V: aux_residual(state, V), U, range(state.nu),
+                      state.controls.del_)
 
 
 def jacobian_active(state: ProblemState, U: np.ndarray | None = None,
@@ -436,12 +443,13 @@ def jacobian_active(state: ProblemState, U: np.ndarray | None = None,
 
     Derivatives w.r.t. the active auxiliary variables are one-sided forward
     differences with step del from f0, the residual at U (evaluated here
-    when not given).
+    when not given).  The aux rows go to the layout dense, as aux_rows gives
+    them.
     """
     U = state.u if U is None else np.asarray(U, dtype=float)
     nu = state.nu
     Gu = pde_jacobian_u(state, U)
-    Qu = aux_jacobian_u(state, U)
+    Qu = aux_rows(state, U)
     W = fd_columns(lambda V: residual(state, V), U, active_slots(state),
                    state.controls.del_, f0=f0)
     return blocks_matrix(state, (state.mode, state.nq, W.shape[1]),
@@ -609,6 +617,21 @@ def _semilinear_jacobian_u(state: ProblemState, U: np.ndarray) -> sp.csc_matrix:
     P = reduced_pattern(state)
     L = sum(coef * P.op(name) for coef, name in _linear_terms(state, w))
     return P.matrix(L + P.op("Q") - P.load_derivative(fu))
+
+
+def _semilinear_jacobian_times(state: ProblemState, U: np.ndarray,
+                               phi: np.ndarray) -> np.ndarray:
+    """_semilinear_jacobian_u's matrix times phi without the matrix: d K phi
+    - bx Kdx phi - by Kdy phi + Q phi - Fload (fu Ctri phi), fu Ctri phi
+    the per-triangle product (fu of shape (nt, N, N) for systems)."""
+    u, w, ops, neq = U[:state.nu], U[state.nu:], state.ops, state.neq
+    fu = state.callbacks.semilinear.fu(_tri_values(state, u), w)
+    pt = _tri_values(state, phi)
+    fphi = (fu * pt if neq == 1 else
+            np.einsum("trs,st->rt", np.reshape(fu, (-1, neq, neq)), pt))
+    r = sum(coef * (getattr(ops, name) @ phi)
+            for coef, name in _linear_terms(state, w))
+    return r + ops.Q @ phi - ops.Fload @ np.ravel(fphi)
 
 
 def semilinear_second_block(state: ProblemState, u: np.ndarray,

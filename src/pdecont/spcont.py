@@ -51,8 +51,8 @@ def extended_pde_residual(state, U):
     Ub = np.concatenate([u, w])
     with base_view(state):
         G = problem.pde_residual(state, Ub)
-        Gu = problem.pde_jacobian_u(state, Ub)
-    return np.concatenate([G, Gu @ phi])
+        Gphi = problem.jacobian_u_times(state, Ub, phi)
+    return np.concatenate([G, Gphi])
 
 
 def extended_aux_residual(state, U):
@@ -90,11 +90,11 @@ def _fd_second_block(state, U, Gu):
     return ((Gd - Gu) / state.controls.del_).tocsc()
 
 
-def extended_aux_jacobian_u(state, U):
+def extended_aux_rows(state, U):
+    """d(phi' M phi - 1)/d(u, phi) as one dense row."""
     _, phi, _ = split(state, U)
     nb = len(phi)
-    row = np.concatenate([np.zeros(nb), 2.0 * (state.ops.M @ phi)])
-    return problem.full_csc(row[None, :])
+    return np.concatenate([np.zeros(nb), 2.0 * (state.ops.M @ phi)])[None, :]
 
 
 def base_pde_block(state, U):

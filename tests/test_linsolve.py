@@ -305,3 +305,38 @@ def test_band_cholesky_declines_and_the_lu_serves():
         assert not cache.banded
         assert np.allclose(lu.solve(B @ x), x, atol=1e-9)
     assert cache.factor_count == 2
+
+
+def test_band_cholesky_runs_on_one_blas_thread(monkeypatch):
+    lib = linsolve._openblas()
+    if lib is None:
+        pytest.skip("no scipy-bundled OpenBLAS with a thread-count API")
+    seen, cholesky = [], linsolve.la.cholesky_banded
+
+    def spy(*args, **kwargs):
+        seen.append(lib.scipy_openblas_get_num_threads())
+        return cholesky(*args, **kwargs)
+    monkeypatch.setattr(linsolve.la, "cholesky_banded", spy)
+    n0 = lib.scipy_openblas_get_num_threads()
+    # two threads at the call, whatever OPENBLAS_NUM_THREADS says
+    lib.scipy_openblas_set_num_threads(2)
+    try:
+        assert lib.scipy_openblas_get_num_threads() == 2
+        A = _spd(60, 7)
+        band = linsolve.FactorCache().factorize(A, spd=True)
+        assert isinstance(band, linsolve.BandCholesky)
+        assert seen == [1]
+        assert lib.scipy_openblas_get_num_threads() == 2
+    finally:
+        lib.scipy_openblas_set_num_threads(n0)
+
+
+def test_band_cholesky_without_the_thread_api(monkeypatch):
+    # where scipy bundles no OpenBLAS the pin is a no-op
+    monkeypatch.setattr(linsolve, "_openblas", lambda: None)
+    A = _spd(60, 7)
+    cache = linsolve.FactorCache()
+    band = cache.factorize(A, spd=True)
+    assert cache.banded
+    x = np.linspace(1.0, 2.0, 60)
+    assert np.allclose(band.solve(A @ x), x, atol=1e-10)

@@ -335,3 +335,27 @@ def test_layout_is_rebuilt_for_a_new_block_pattern():
         assert _canonical(got) and abs(got - want).max() == 0.0
         layouts.append(st.ops.layouts["test"])
     assert layouts[0] is not layouts[1]
+
+
+@pytest.mark.parametrize("demo", ["acfold", "schnak", "schnaktravel",
+                                  "bratu", "acfront"])
+def test_jacobian_times_needs_no_assembled_gu(monkeypatch, demo):
+    st = demos.perturb(demos.make(demo), seed=5)
+    phi = np.random.default_rng(3).standard_normal(st.nu)
+    want = problem.pde_jacobian_u(st, st.u) @ phi
+
+    def no_gu(*args):
+        raise AssertionError("Gu assembled")
+    monkeypatch.setattr(problem, "_semilinear_jacobian_u", no_gu)
+    got = problem.jacobian_u_times(st, st.u, phi)
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("demo, jac", [("nlbc", 1), ("bratu", 0)])
+def test_jacobian_times_keeps_the_assembled_gu(demo, jac):
+    # an undeclared problem, and numeric Jacobians, multiply the matrix
+    st = demos.perturb(demos.make(demo, {"nx": 8, "ny": 8}), seed=5)
+    st.switches.jac = jac
+    phi = np.random.default_rng(3).standard_normal(st.nu)
+    want = problem.pde_jacobian_u(st, st.u) @ phi
+    assert np.array_equal(problem.jacobian_u_times(st, st.u, phi), want)

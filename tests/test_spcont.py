@@ -226,3 +226,22 @@ def test_spcontini_rejects_auxiliary_equations():
     st = demos.schnak_travel_setup(demos.make("schnaktravel"))
     with pytest.raises(SpcontError):
         spcontini(st, 1)
+
+
+def test_extended_residual_assembles_no_gu(fold_state, monkeypatch):
+    import copy
+    st = copy.deepcopy(fold_state)
+    spcontini(st, 2)
+    u, phi, w = split(st, st.u)
+    with spcont.base_view(st):
+        Ub = np.concatenate([u, w])
+        Gu = problem.pde_jacobian_u(st, Ub)
+        want = np.concatenate([problem.pde_residual(st, Ub), Gu @ phi])
+
+    def no_gu(*args):
+        raise AssertionError("Gu assembled")
+    monkeypatch.setattr(problem, "pde_jacobian_u", no_gu)
+    got = spcont.extended_pde_residual(st, st.u)
+    # both parts vanish at the fold: the scale is Gu's and phi's
+    scale = abs(Gu).max() * np.abs(phi).max()
+    assert np.abs(got - want).max() <= 1e-13 * scale
