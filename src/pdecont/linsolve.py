@@ -170,8 +170,10 @@ class _Pattern:
     """What the factorizations of one exact sparsity pattern (indptr and
     indices of a canonical CSC matrix) share.
 
-    - mirror: the data index of each entry's transpose, None when the
-      pattern is not structurally symmetric.
+    - transpose: the data index of each entry's transpose, -1 where it is
+      not stored, which the symmetry probe takes ||A - A^T||_inf from;
+      mirror: the same, None when the pattern is not structurally
+      symmetric.
     - order[kind]: the column order q of the factor kind ("pivoting" or
       "symmetric"), argsort of perm_c of the pattern's first LU of that kind
       (SuperLU's A P_c is A[:, argsort(perm_c)]).  A later LU factorizes
@@ -197,15 +199,37 @@ class _Pattern:
                 and np.array_equal(self.indices, A.indices))
 
     @functools.cached_property
-    def mirror(self):
-        T = sp.csc_matrix((np.arange(len(self.indices),
-                                     dtype=self.indices.dtype),
+    def transpose(self) -> tuple:
+        """(t, lone, lone_cols): t[k] the data index of the transpose of
+        entry k, -1 where it is not stored (every entry of a non-square
+        pattern); lone the entries without a stored transpose, and their
+        columns."""
+        n, nnz = self.shape[0], len(self.indices)
+        # the transposed pattern, whose data are the indices of A's entries
+        T = sp.csc_matrix((np.arange(nnz, dtype=self.indices.dtype),
                            self.indices, self.indptr),
                           shape=self.shape).T.tocsc()
         if (T.shape == self.shape and np.array_equal(T.indptr, self.indptr)
                 and np.array_equal(T.indices, self.indices)):
-            return T.data
-        return None
+            return T.data, np.empty(0, dtype=np.intp), np.empty(0, np.int64)
+        cols = np.repeat(np.arange(self.shape[1], dtype=np.int64),
+                         np.diff(self.indptr))
+        t = np.full(nnz, -1, dtype=self.indices.dtype)
+        if self.shape[0] == self.shape[1] and nnz:
+            keys = cols * n + self.indices      # ascending: canonical CSC
+            want = self.indices.astype(np.int64) * n + cols
+            pos = np.minimum(np.searchsorted(keys, want), nnz - 1)
+            hit = keys[pos] == want
+            t[hit] = pos[hit]
+        lone = np.flatnonzero(t < 0)
+        return t, lone, cols[lone]
+
+    @functools.cached_property
+    def mirror(self):
+        """The data index of each entry's transpose, None when the pattern
+        is not structurally symmetric."""
+        t, lone, _ = self.transpose
+        return None if len(lone) else t
 
     def lu(self, A: sp.csc_matrix, kind: str):
         """SuperLU of A (this record's pattern) for the factor kind: at the
@@ -322,12 +346,17 @@ def _canonical(A: sp.spmatrix) -> sp.csc_matrix:
 
 
 def _asymmetry(A: sp.csc_matrix, rec: _Pattern) -> float:
-    """||A - A^T||_inf: from each entry's difference with its mirror where
-    A's pattern rec is structurally symmetric, from A - A^T where not."""
-    if rec.mirror is None:
-        return _infnorm(A - A.T)
-    return float(np.bincount(A.indices, np.abs(A.data - A.data[rec.mirror]),
-                             A.shape[0]).max(initial=0.0))
+    """||A - A^T||_inf from the transpose map of A's pattern rec: entry
+    (i, j) adds |a_ij - a_ji| to row i where (j, i) is stored, and |a_ij|
+    to rows i and j where it is not."""
+    t, lone, lone_cols = rec.transpose
+    d = A.data - A.data[t]
+    d[lone] = A.data[lone]
+    np.abs(d, out=d)
+    rows = np.bincount(A.indices, d, A.shape[0])
+    if len(lone):
+        rows += np.bincount(lone_cols, d[lone], A.shape[0])
+    return float(rows.max(initial=0.0))
 
 
 @functools.cache

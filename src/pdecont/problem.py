@@ -5,13 +5,16 @@ A problem either declares its interior operator once as a Semilinear, from
 which this module derives the residual and Jacobian on the cached operators,
 the fold-system second-derivative block, the coefficient tensors and the
 tints splitting; or it writes the tensor callbacks G/Gjac itself, which the
-general path assembles afresh at each call (assemble_general, shared by the
-tensor residual, the tensor Jacobian and tint).
+general path assembles afresh at each call (general_data, shared by the
+tensor residual, the tensor Jacobian and tint).  It assembles as data on
+the ReducedPattern: one sparse mat-vec per nonzero coefficient by the
+pattern's fem.Assembly operators, built at the general path's first use.
 
-Jacobians are data on cached patterns: a semilinear Gu and the fold block
-are data vectors on the ReducedPattern, the one P1 pattern of the reduced
-space, and jacobian_active writes its blocks into a Layout cached per
-(mode, nq, number of active parameters); setfemops drops both.
+Jacobians are data on cached patterns: a semilinear Gu, the fold block and
+the general path's A are data vectors on the ReducedPattern, the one P1
+pattern of the reduced space, and jacobian_active writes its blocks into a
+Layout cached per (mode, nq, number of active parameters); setfemops drops
+both.
 
 The unknown vector stores the nodal PDE values (length nu, reduced when a
 periodization is active) followed by all auxiliary variables.  The active
@@ -319,31 +322,40 @@ def pde_residual(state: ProblemState, U: np.ndarray) -> np.ndarray:
 
 
 def tensor_residual(state: ProblemState, U: np.ndarray) -> np.ndarray:
-    """G(u,w) = A u - F of the general path (assemble_general): the residual
-    of a problem without a semilinear declaration, and the reference for the
+    """G(u,w) = A u - F of the general path (general_data): the residual of
+    a problem without a semilinear declaration, and the reference for the
     semilinear one."""
     A, F = assemble_general(state, U, state.callbacks.G(state, U),
                             state.callbacks.bc)
     return A @ U[:state.nu] - F
 
 
-def assemble_general(state: ProblemState, U: np.ndarray, tensors, bc):
-    """The general path's reduced (A, F) at U, assembled afresh: A = K + Ma +
-    Kadv + Q from the coefficient tensors and the boundary provider bc (None:
-    no boundary term), F = Fload f + Gb.  The residual is A u - F and tint
-    steps with it; the Jacobian takes A from callbacks.Gjac."""
-    mesh, neq, per = state.mesh, state.neq, state.ops.per
-    ct = tensors.normalized(mesh.ntri, neq)
-    ops = fem.assemble_interior(mesh, fem.CoeffTensors(ct.c, ct.a, ct.b), neq)
-    A = ops["K"] + ops["Ma"] + ops["Kadv"]
-    F = state.ops.Fload @ ct.f.T.ravel()
+def general_data(state: ProblemState, U: np.ndarray, tensors, bc) -> tuple:
+    """The general path at U: (a, F) with a the data of A = K + Ma + Kadv +
+    Q on the ReducedPattern, from the coefficient tensors and the boundary
+    provider bc (None: no boundary term), and F = Fload f + Gb.  The
+    residual is A u - F and tint steps with it; the Jacobian takes A from
+    callbacks.Gjac.  Assembled afresh at each call, one sparse mat-vec per
+    nonzero coefficient onto the pattern (fem.Assembly)."""
+    mesh, neq, nu = state.mesh, state.neq, state.nu
+    P = reduced_pattern(state)
+    a = fem.assemble_interior(mesh, tensors, neq, P.assembly)
+    f = tensors.compact("f", mesh.ntri, neq)
+    F = (state.ops.Fload @ np.broadcast_to(f, (mesh.ntri, neq)).T.ravel()
+         if f.any() else np.zeros(nu))
     if bc is not None:
         bdry = fem.assemble_boundary(
-            mesh, bc(state, U), periodic.extend_vector(U[:state.nu], per),
-            U[state.nu:], neq)
-        A = A + bdry["Q"]
-        F = F + periodic.periodize_vector(bdry["Gb"], per)
-    return periodic.periodize_operator(A, per), F
+            mesh, bc(state, U), periodic.extend_vector(U[:nu], state.ops.per),
+            U[nu:], neq, P.assembly)
+        a = a + bdry["Q"]
+        F = F + bdry["Gb"]
+    return a, F
+
+
+def assemble_general(state: ProblemState, U: np.ndarray, tensors, bc):
+    """general_data's (A, F), with A as a matrix."""
+    a, F = general_data(state, U, tensors, bc)
+    return reduced_pattern(state).matrix(a), F
 
 
 def pde_jacobian_u(state: ProblemState, U: np.ndarray) -> sp.csc_matrix:
@@ -370,14 +382,15 @@ def jacobian_u_times(state: ProblemState, U: np.ndarray,
 def tensor_jacobian_u(state: ProblemState, U: np.ndarray) -> sp.csc_matrix:
     """d(tensor_residual)/du: A from the tensors of callbacks.Gjac and the
     boundary provider bcjac (bc when unset), less the load's derivative
-    Fload diag(fu) Ctri."""
+    Fload diag(fu) Ctri, as data on the reduced pattern."""
     cb = state.callbacks
-    ct = cb.Gjac(state, U).normalized(state.mesh.ntri, state.neq)
-    J, _ = assemble_general(state, U, ct, cb.bcjac or cb.bc)
-    if np.any(ct.fu):
-        P = reduced_pattern(state)
-        J = J - P.matrix(P.load_derivative(ct.fu))
-    return J.tocsc()
+    tensors = cb.Gjac(state, U)
+    a, _ = general_data(state, U, tensors, cb.bcjac or cb.bc)
+    fu = tensors.compact("fu", state.mesh.ntri, state.neq)
+    P = reduced_pattern(state)
+    if fu.any():
+        a = a - P.load_derivative(fu)
+    return P.matrix(a)
 
 
 def fd_columns(fun: Callable, x: np.ndarray, indices, delta: float,
@@ -477,36 +490,48 @@ class _Structure:
 class ReducedPattern(_Structure):
     """The pattern of the P1 operators on the reduced space: the P1 graph of
     the triangles with their nodes mapped to the periodization's kept ones,
-    in neq x neq component blocks.  K, Kdx, Kdy and Q are taken onto it as
-    data vectors at their first use (op), so that a semilinear Gu is a sum
-    of those less one load_derivative scatter."""
+    in neq x neq component blocks.  M, K, Kdx, Kdy and Q are taken onto it
+    as data vectors at their first use (op), so that a semilinear Gu is a
+    sum of those less one load_derivative scatter.  The general path
+    assembles onto it through assembly, whose operators are built at their
+    first use."""
 
     def __init__(self, state: ProblemState):
         mesh, per = state.mesh, state.ops.per
         if per.bcper or state.neq > 1:
             node = periodic.extend_vector(np.arange(per.nu_per), per)
+            node = node[:mesh.npoints].astype(int)
             self.indptr, self.indices, self.slot = p1_pattern(
-                node[:mesh.npoints].astype(int)[mesh.triangles], per.np_per,
-                state.neq)
+                node[mesh.triangles], per.np_per, state.neq)
         else:       # the mesh's own, which its assembly has built already
+            node = np.arange(mesh.npoints)
             self.indptr, self.indices, self.slot = mesh.p1_pattern()
         self.shape = (per.nu_per, per.nu_per)
         self.area = mesh.tri_areas()
+        self.assembly = fem.Assembly(mesh, self.indptr, self.indices,
+                                     self.slot, node)
         self._ops = {name: getattr(state.ops, name)
-                     for name in ("K", "Kdx", "Kdy", "Q")}
+                     for name in ("M", "K", "Kdx", "Kdy", "Q")}
         self._data = {}
 
     def op(self, name: str) -> np.ndarray:
-        """ops.K, Kdx, Kdy or Q as data on the pattern."""
+        """ops.M, K, Kdx, Kdy or Q as data on the pattern: the operator's
+        own data where it is stored on exactly this pattern."""
         if name not in self._data:
-            cols = np.repeat(np.arange(self.shape[1]), np.diff(self.indptr))
-            self._data[name] = np.ravel(self._ops[name][self.indices, cols])
+            A = self._ops[name]
+            if (np.array_equal(A.indptr, self.indptr)
+                    and np.array_equal(A.indices, self.indices)):
+                self._data[name] = A.data
+            else:
+                cols = np.repeat(np.arange(self.shape[1]),
+                                 np.diff(self.indptr))
+                self._data[name] = np.ravel(A[self.indices, cols])
         return self._data[name]
 
     def load_derivative(self, fu) -> np.ndarray:
         """Fload diag(fu) Ctri as data, for per-triangle fu of shape (nt,) or
-        (nt, N, N): area fu[t, r, s] / 9 from triangle t to each of its 3 x 3
-        node pairs in block (r, s)."""
+        (nt, N, N), or (1, N, N) for all triangles: area fu[t, r, s] / 9
+        from triangle t to each of its 3 x 3 node pairs in block (r, s)."""
         neq = self.slot.shape[1]
         w = (self.area / 9.0)[:, None, None] * np.reshape(fu, (-1, neq, neq))
         return np.bincount(self.slot.ravel(), minlength=len(self.indices),

@@ -1,7 +1,9 @@
 """Linearly implicit time integration of  d_t u = -G(u).
 
-The two integrators differ only in their step.  tint reassembles the
-general path at every step (problem.assemble_general) and solves
+The two integrators differ only in their step.  tint assembles the general
+path afresh at every step, as data on the reduced P1 pattern
+(problem.general_data: one sparse mat-vec per nonzero coefficient), forms
+M + dt A(u^n) as a data axpy on that pattern and solves
 (M + dt A(u^n)) u^{n+1} = M u^n + dt F(u^n) by a fresh factorization.  tints
 keeps the stiff operator K fixed, factorizes Lambda = M + dt K once per call
 and takes the explicit forcing from the problem's semilinear declaration
@@ -32,21 +34,25 @@ def tint(state, dt, nt, pmod=10):
     """nt linearly implicit steps with full reassembly at each u^n:
     (M + dt*A(u^n)) u^{n+1} = M u^n + dt*F(u^n), where A collects every
     assembled matrix term (diffusion, reaction, advection, boundary) and F
-    the load and boundary-source terms.  Records the residual time series
-    every pmod steps and writes snapshots when an output directory is set.
-    Each step's factorization is counted in state.ops.cache; once one step
-    has fallen back from the band Cholesky to the LU, the rest of the call
-    goes straight to the LU.
+    the load and boundary-source terms.  M + dt*A is summed as data on the
+    ReducedPattern (M's own data where M is stored on it) and factorized
+    with the zeros of the sum dropped, as a sparse sum would store it.
+    Records the residual time series every pmod steps and writes snapshots
+    when an output directory is set.  Each step's factorization is counted
+    in state.ops.cache; once one step has fallen back from the band
+    Cholesky to the LU, the rest of the call goes straight to the LU.
     """
     M, w, cache = state.ops.M, state.pars(), state.ops.cache
+    P = problem.reduced_pattern(state)
+    m = P.op("M")
     spd = True
 
     def step(u):
         nonlocal spd
         U = np.concatenate([u, w])
-        A, F = problem.assemble_general(state, U, state.callbacks.G(state, U),
-                                        state.callbacks.bc)
-        lu = cache.factorize(M + dt * A, spd=spd)
+        a, F = problem.general_data(state, U, state.callbacks.G(state, U),
+                                    state.callbacks.bc)
+        lu = cache.factorize(P.matrix(m + dt * a), spd=spd)
         spd = cache.banded
         return linsolve.solve(lu, M @ u + dt * F)
     return _march(state, dt, nt, pmod, step)

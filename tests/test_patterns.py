@@ -167,3 +167,48 @@ def test_split_last_column_is_the_slices(demo):
     assert sp.csc_matrix((A0.data, A0.indices, A0.indptr),
                          shape=A0.shape).has_canonical_format
     assert np.array_equal(a, J[:, n].toarray().ravel())
+
+
+def _without_one_entry(A):
+    """A less its first stored off-diagonal entry of the last row, whose
+    mirror stays: a structurally nonsymmetric pattern."""
+    B = A.tolil()
+    n = A.shape[0]
+    j = next(j for j in B.rows[n - 1] if j != n - 1 and B[j, n - 1] != 0)
+    B[n - 1, j] = 0.0
+    B = B.tocsc()
+    B.eliminate_zeros()
+    return B
+
+
+def _nonsymmetric_cases():
+    rng = np.random.default_rng(9)
+    for k in range(20):
+        n = int(rng.integers(2, 40))
+        A = (sp.random(n, n, density=0.15, random_state=k)
+             + sp.random(n, n, density=0.1, random_state=50 + k).T
+             + sp.diags(rng.standard_normal(n)))
+        A = A.tocsc()
+        A.data -= 0.5
+        yield A
+    for build in (_front_a0, _fold_system_a0):
+        A = build()
+        yield A
+        yield _without_one_entry(A)
+
+
+def test_the_symmetry_probe_takes_no_difference_matrix(monkeypatch):
+    # ||A - A^T||_inf from the transpose map on structurally nonsymmetric
+    # patterns too: equal to the norm of A - A^T, so that every accept or
+    # refuse decision stays the same
+    cases = [linsolve._canonical(A) for A in _nonsymmetric_cases()]
+    want = [linsolve._infnorm(A - A.T) for A in cases]
+    monkeypatch.setattr(linsolve, "_infnorm", None)
+    cache = linsolve.FactorCache()
+    kinds = Counter()
+    for A, w in zip(cases, want):
+        rec = cache.pattern(A)
+        kinds[rec.mirror is None] += 1
+        assert linsolve._asymmetry(A, rec) == pytest.approx(w, rel=1e-14,
+                                                            abs=1e-300)
+    assert kinds[True] >= 22 and kinds[False] >= 2
