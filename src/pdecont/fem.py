@@ -28,7 +28,7 @@ from typing import Callable
 import numpy as np
 import scipy.sparse as sp
 
-from .mesh import Mesh
+from .mesh import Mesh, pattern_slots
 
 
 class AssemblyError(ValueError):
@@ -258,16 +258,12 @@ class Assembly:
         nodes i, j in (a, b) of each boundary edge."""
         if "edge slot" not in self._built:
             n, neq = self.npoints, self.slot.shape[1]
-            N = n * neq
-            cols = np.repeat(np.arange(N, dtype=np.int64), np.diff(self.indptr))
-            keys = cols * N + self.indices       # ascending: canonical CSC
             ends = self.node[self.mesh.edges]                    # (ne, 2)
             off = n * np.arange(neq)
             i = ends[:, None, None, :, None] + off[:, None, None, None]
             j = ends[:, None, None, None, :] + off[:, None, None]
-            want = j.astype(np.int64) * N + i
-            pos = np.searchsorted(keys, want)
-            if not np.array_equal(keys[np.minimum(pos, len(keys) - 1)], want):
+            pos = pattern_slots(self.indptr, self.indices, i, j)
+            if (pos < 0).any():
                 raise AssemblyError("a boundary edge is not in the pattern")
             self._built["edge slot"] = pos.astype(self.indices.dtype)
         return self._built["edge slot"]

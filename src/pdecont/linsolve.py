@@ -29,6 +29,8 @@ import scipy.linalg as la
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from .mesh import pattern_slots
+
 # spectrum_near_zero runs the dense QZ for n <= DENSE_EIG_LIMIT and where
 # Arnoldi cannot run (n <= 2); 0, since shift-invert Arnoldi is the faster
 # at every size that can take it (0.067 s against 1.1 s at n = 441, k = 50)
@@ -204,23 +206,14 @@ class _Pattern:
         entry k, -1 where it is not stored (every entry of a non-square
         pattern); lone the entries without a stored transpose, and their
         columns."""
-        n, nnz = self.shape[0], len(self.indices)
-        # the transposed pattern, whose data are the indices of A's entries
-        T = sp.csc_matrix((np.arange(nnz, dtype=self.indices.dtype),
-                           self.indices, self.indptr),
-                          shape=self.shape).T.tocsc()
-        if (T.shape == self.shape and np.array_equal(T.indptr, self.indptr)
-                and np.array_equal(T.indices, self.indices)):
-            return T.data, np.empty(0, dtype=np.intp), np.empty(0, np.int64)
-        cols = np.repeat(np.arange(self.shape[1], dtype=np.int64),
+        cols = np.repeat(np.arange(self.shape[1], dtype=self.indices.dtype),
                          np.diff(self.indptr))
-        t = np.full(nnz, -1, dtype=self.indices.dtype)
-        if self.shape[0] == self.shape[1] and nnz:
-            keys = cols * n + self.indices      # ascending: canonical CSC
-            want = self.indices.astype(np.int64) * n + cols
-            pos = np.minimum(np.searchsorted(keys, want), nnz - 1)
-            hit = keys[pos] == want
-            t[hit] = pos[hit]
+        if self.shape[0] == self.shape[1]:
+            # entry (i, j)'s transpose is the stored (j, i)
+            t = pattern_slots(self.indptr, self.indices, cols,
+                              self.indices).astype(self.indices.dtype)
+        else:
+            t = np.full(len(self.indices), -1, dtype=self.indices.dtype)
         lone = np.flatnonzero(t < 0)
         return t, lone, cols[lone]
 

@@ -93,6 +93,24 @@ def p1_pattern(triangles: np.ndarray, n: int, neq: int = 1) -> tuple:
             slot.astype(idx).reshape(len(triangles), neq, neq, 3, 3))
 
 
+def pattern_slots(indptr: np.ndarray, indices: np.ndarray, rows,
+                  cols) -> np.ndarray:
+    """The data index of entry (rows, cols) of the square canonical CSC
+    pattern (indptr, indices), -1 where it is not stored; rows and cols
+    broadcast to the shape of the result."""
+    N = len(indptr) - 1
+    # keys col N + row, ascending for a canonical CSC pattern; 32-bit where
+    # they fit, which halves the lookup's temporaries
+    key = np.int32 if N * N <= np.iinfo(np.int32).max else np.int64
+    keys = np.repeat(np.arange(N, dtype=key), np.diff(indptr)) * N + indices
+    want = np.asarray(cols, dtype=key) * N + rows
+    if not len(keys):
+        return np.full(want.shape, -1, dtype=np.intp)
+    pos = np.searchsorted(keys, want)
+    pos[keys[np.minimum(pos, len(keys) - 1)] != want] = -1
+    return pos
+
+
 def build_rect_mesh(lx: float, ly: float, nx: int, ny: int) -> Mesh:
     """Uniform triangulation of (-lx,lx) x (-ly,ly) with nx x ny cells."""
     if lx <= 0 or ly <= 0:

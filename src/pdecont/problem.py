@@ -515,13 +515,16 @@ class ReducedPattern(_Structure):
         self._data = {}
 
     def op(self, name: str) -> np.ndarray:
-        """ops.M, K, Kdx, Kdy or Q as data on the pattern: the operator's
-        own data where it is stored on exactly this pattern."""
+        """ops.M, K, Kdx, Kdy or Q as read-only data on the pattern: a view
+        of the operator's own data where it is stored on exactly this
+        pattern."""
         if name not in self._data:
             A = self._ops[name]
             if (np.array_equal(A.indptr, self.indptr)
                     and np.array_equal(A.indices, self.indices)):
-                self._data[name] = A.data
+                # read-only: an in-place edit would change the operator
+                self._data[name] = A.data.view()
+                self._data[name].flags.writeable = False
             else:
                 cols = np.repeat(np.arange(self.shape[1]),
                                  np.diff(self.indptr))

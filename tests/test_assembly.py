@@ -241,3 +241,13 @@ def test_copies_carry_no_assembly_operators():
     assert np.array_equal(problem.tensor_residual(cp, cp.u),
                           problem.tensor_residual(st, st.u))
     assert built is st.ops.pattern.assembly._built
+
+
+def test_operator_data_on_the_pattern_is_read_only():
+    st = _state("acfold", {"nx": 8, "ny": 7})
+    P = problem.reduced_pattern(st)
+    m = P.op("M")
+    assert np.shares_memory(m, st.ops.M.data)     # M is stored on P
+    with pytest.raises(ValueError):
+        m *= 2.0
+    assert np.array_equal(st.ops.M.data, m)

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 from pdecont.mesh import (MeshError, SEG_BOTTOM, SEG_LEFT, SEG_RIGHT, SEG_TOP,
-                          build_rect_mesh, node_to_triangle)
+                          build_rect_mesh, node_to_triangle, pattern_slots)
 
 
 def test_counts_and_extent():
@@ -136,3 +137,17 @@ def test_node_to_triangle_equals_the_per_component_means(neq):
                      for k in range(neq)])
     got = node_to_triangle(m, v, neq)
     assert np.array_equal(got, want[0] if neq == 1 else want)
+
+
+def test_pattern_slots_find_each_stored_entry():
+    rng = np.random.default_rng(3)
+    A = sp.random(40, 40, density=0.1, format="csc", random_state=rng)
+    A.sort_indices()
+    want = np.full((40, 40), -1)
+    want[A.indices, np.repeat(np.arange(40), np.diff(A.indptr))] = np.arange(
+        A.nnz)
+    rows, cols = np.divmod(np.arange(40 * 40), 40)
+    got = pattern_slots(A.indptr, A.indices, rows, cols)
+    assert np.array_equal(got, want[rows, cols])
+    assert np.array_equal(pattern_slots(np.zeros(4, dtype=int),
+                                        np.zeros(0, dtype=int), 1, 2), -1)
