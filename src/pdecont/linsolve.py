@@ -5,7 +5,7 @@ the tangent and the stability index (factorize_square, checked_solve), the
 stacked bordered solve the tangent falls back on (blss), and the near-zero
 spectrum.  The time steppers' symmetric positive definite M + dt A is
 factorized instead by LAPACK's banded Cholesky in a reverse Cuthill-McKee
-order (FactorCache.factorize(A, spd=True)), on one BLAS thread.
+order (FactorCache.factorize(A, kind="spd")), on one BLAS thread.
 
 What a factorization needs of A's sparsity pattern alone is computed once
 per exact pattern and kept by the FactorCache (_Pattern): the transpose map
@@ -51,9 +51,9 @@ SOLVE_RTOL = 1e-10
 # A^T A, fills far more on those (1.11 M against 0.69 M nonzeros in L + U
 # for M + dt A at 105 x 105).
 PERMC_SPEC = "MMD_AT_PLUS_A"
-# The options of the symmetric-mode LU, P A P^T = L D L^T (factorize_square);
-# the LU without options is SuperLU's partial pivoting.  These are the two
-# factor kinds whose column order a FactorCache keeps per pattern.
+# SuperLU's options of the "ldlt" factor kind, P A P^T = L D L^T
+# (factorize_square); the "lu" kind, without options, is its partial
+# pivoting.  A FactorCache keeps the column order of each per pattern.
 SYMMETRIC_MODE = {"diag_pivot_thresh": 0, "options": {"SymmetricMode": True}}
 # Sparsity patterns a FactorCache keeps, the most recently used first.  A
 # continuation alternates between a few: the square block and the bordered
@@ -92,12 +92,6 @@ class FactorCache:
     def __getstate__(self):
         return dict(self.__dict__, held=None, patterns=[])
 
-    @property
-    def band(self):
-        """The most recently used record that holds a band order (b, perm),
-        or None."""
-        return next((rec for rec in self.patterns if rec.b is not None), None)
-
     def pattern(self, A: sp.csc_matrix) -> "_Pattern":
         """The record of A's exact pattern (A canonical CSC), made when the
         cache has none; it becomes the most recently used."""
@@ -109,43 +103,35 @@ class FactorCache:
         self.patterns = [rec] + self.patterns[:PATTERNS_KEPT - 1]
         return rec
 
-    def factorize(self, A: sp.spmatrix, spd: bool = False, **options):
-        """splu(A, permc_spec=PERMC_SPEC, **options), partial pivoting unless
-        the options say otherwise; A itself is left as it is (splu would sort
-        a non-canonical CSC matrix in place, so it gets a copy).
-
-        Without options, or with SYMMETRIC_MODE's, the LU orders A's columns
-        only at the first factorization of its pattern in that kind; later
-        ones factorize A in the kept order (PermutedLU).  A caller's
-        permc_spec, or any other options, bypass the kept order.
-
-        With spd (A expected symmetric positive definite) A is first tried
-        by _band_cholesky; the LU is made only when that declines: A not
-        symmetric to SYMMETRY_RTOL, a band beyond BAND_LIMIT, or a
-        non-positive pivot.  Every factor offers solve(rhs, trans) and nnz.
+    def factorize(self, A: sp.spmatrix, kind: str = "lu"):
+        """A's factorization of the kind asked for: "lu", SuperLU's partial
+        pivoting; "ldlt", its symmetric mode (SYMMETRIC_MODE), whose pivots
+        give factorize_square the inertia; "spd" (A expected symmetric
+        positive definite), _band_cholesky, and the "lu" where that
+        declines: A not symmetric to SYMMETRY_RTOL, a band beyond
+        BAND_LIMIT, or a non-positive pivot.  Any other kind is a
+        ValueError.  An LU orders A's columns only at the first LU of its
+        pattern in its kind; later ones factorize A in the kept order
+        (PermutedLU).  A itself is left as it is (splu would sort a
+        non-canonical CSC matrix in place, so it gets a copy).  Every
+        factor offers solve(rhs, trans) and nnz.
         """
+        if kind not in ("lu", "ldlt", "spd"):
+            raise ValueError(f"unknown factor kind {kind!r}")
         self.held = None
         A = _canonical(A)
-        self.banded = False
-        if spd:
-            factor = self._band_cholesky(A)
-            if factor is not None:
-                self.banded = True
-                self.factor_count += 1
-                return factor
-        kind = ("pivoting" if not options
-                else "symmetric" if options == SYMMETRIC_MODE else None)
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("error", spla.MatrixRankWarning)
-                if kind is None:
-                    lu = spla.splu(A, **{"permc_spec": PERMC_SPEC, **options})
-                else:
-                    lu = self.pattern(A).lu(A, kind)
-        except (RuntimeError, spla.MatrixRankWarning) as exc:
-            raise SingularMatrixError(str(exc)) from exc
+        factor = self._band_cholesky(A) if kind == "spd" else None
+        self.banded = factor is not None
+        if factor is None:
+            try:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error", spla.MatrixRankWarning)
+                    factor = self.pattern(A).lu(
+                        A, "ldlt" if kind == "ldlt" else "lu")
+            except (RuntimeError, spla.MatrixRankWarning) as exc:
+                raise SingularMatrixError(str(exc)) from exc
         self.factor_count += 1
-        return lu
+        return factor
 
     def _band_cholesky(self, A: sp.csc_matrix):
         """BandCholesky of A in the RCM order of its pattern, or None."""
@@ -176,8 +162,8 @@ class _Pattern:
       not stored, which the symmetry probe takes ||A - A^T||_inf from;
       mirror: the same, None when the pattern is not structurally
       symmetric.
-    - order[kind]: the column order q of the factor kind ("pivoting" or
-      "symmetric"), argsort of perm_c of the pattern's first LU of that kind
+    - order[kind]: the column order q of the factor kind ("lu" or
+      "ldlt"), argsort of perm_c of the pattern's first LU of that kind
       (SuperLU's A P_c is A[:, argsort(perm_c)]).  A later LU factorizes
       A[:, q], or A[q][:, q] in symmetric mode, in its natural order,
       gathered through an index array made at that second LU.
@@ -228,7 +214,7 @@ class _Pattern:
         """SuperLU of A (this record's pattern) for the factor kind: at the
         kind's first LU ordered by SuperLU (PERMC_SPEC), whose order is kept,
         and later in that order (a PermutedLU)."""
-        options = SYMMETRIC_MODE if kind == "symmetric" else {}
+        options = SYMMETRIC_MODE if kind == "ldlt" else {}
         q = self.order.get(kind)
         if q is None:
             # allocated before the LU, so that it does not sit in the heap
@@ -239,7 +225,7 @@ class _Pattern:
             self.order[kind] = q
             return lu
         if kind not in self._gather:
-            self._gather[kind] = self._permutation(q, kind == "symmetric")
+            self._gather[kind] = self._permutation(q, kind == "ldlt")
         take, indices, indptr, data = self._gather[kind]
         # written in place: a buffer made per LU would be freed while the
         # LU lives, and leave the heap fragmented below it
@@ -247,7 +233,7 @@ class _Pattern:
         B = sp.csc_matrix((data, indices, indptr), shape=A.shape)
         B.has_canonical_format = True
         lu = spla.splu(B, permc_spec="NATURAL", **options)
-        return PermutedLU(lu, q if kind == "symmetric" else None, q)
+        return PermutedLU(lu, q if kind == "ldlt" else None, q)
 
     def _permutation(self, q: np.ndarray, rows: bool) -> tuple:
         """(take, indices, indptr, data) of the canonical CSC copy B =
@@ -491,7 +477,7 @@ def _inertia_lu(A: sp.csc_matrix, cache: FactorCache):
     if _asymmetry(A, cache.pattern(A)) > SYMMETRY_RTOL * norm:
         return None
     try:
-        lu = cache.factorize(A, **SYMMETRIC_MODE)
+        lu = cache.factorize(A, kind="ldlt")
     except SingularMatrixError:
         return None
     d = lu.U.diagonal()
@@ -544,14 +530,11 @@ def spectrum_near_zero(Gu: sp.spmatrix, M: sp.spmatrix, neig: int = 50) -> dict:
     n = Gu.shape[0]
     k = min(neig, n - 2)
     if n <= DENSE_EIG_LIMIT or k < 1:
-        import scipy.linalg as la
         mu, V = la.eig(Gu.toarray(), M.toarray())
-        order = np.argsort(np.abs(mu))[:min(neig, n)]
-        mu, V = mu[order], V[:, order]
     else:
         mu, V = _shift_invert_eigs(Gu, M, k)
-        order = np.argsort(np.abs(mu))
-        mu, V = mu[order], V[:, order]
+    order = np.argsort(np.abs(mu))[:min(neig, n)]
+    mu, V = mu[order], V[:, order]
     ineg = int(np.sum(mu.real < 0))
     return {"eigenvalues": mu, "eigenvectors": V, "ineg": ineg}
 

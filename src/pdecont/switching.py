@@ -63,7 +63,7 @@ def swibra(state, ds_new, kerneltol=1e-6):
     spec = linsolve.spectrum_near_zero(B, sp.identity(n + 1, format="csc"),
                                        neig=min(6, n))
     mu = spec["eigenvalues"]
-    scale = float(abs(B).sum(axis=1).max())
+    scale = linsolve._infnorm(B)
     if abs(mu[0]) > kerneltol * scale:
         raise SwitchingError(
             f"no near-zero eigenvalue at this point (|mu|={abs(mu[0]):.2e}, "

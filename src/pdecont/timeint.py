@@ -8,11 +8,11 @@ M + dt A(u^n) as a data axpy on that pattern and solves
 keeps the stiff operator K fixed, factorizes Lambda = M + dt K once per call
 and takes the explicit forcing from the problem's semilinear declaration
 unless the caller passes a splitting, so each step is a pair of triangular
-solves.  Both ask for the band Cholesky (FactorCache.factorize with spd),
-which serves a symmetric positive definite operator (diffusion, mass and
-boundary springs, as on acfold and bratu); a nonsymmetric one (advection,
-cross-diffusion or a reaction in the implicit part, as on schnak and
-acfront) or one the Cholesky refuses takes SuperLU's LU.
+solves.  Both ask for the "spd" factor kind: the band Cholesky serves an
+SPD operator (diffusion, mass and boundary springs: acfold, bratu, schnak
+at s = 0); a nonsymmetric one (advection at s != 0, as at schnaktravel's
+and acfront's moving points, or cross-diffusion) or one the Cholesky
+refuses takes SuperLU's LU.
 One loop (_march) keeps u, the model time demo_config["time"], the records
 and the step failures for both.  Neither has error or stepsize control.
 """
@@ -45,15 +45,15 @@ def tint(state, dt, nt, pmod=10):
     M, w, cache = state.ops.M, state.pars(), state.ops.cache
     P = problem.reduced_pattern(state)
     m = P.op("M")
-    spd = True
+    kind = "spd"
 
     def step(u):
-        nonlocal spd
+        nonlocal kind
         U = np.concatenate([u, w])
         a, F = problem.general_data(state, U, state.callbacks.G(state, U),
                                     state.callbacks.bc)
-        lu = cache.factorize(P.matrix(m + dt * a), spd=spd)
-        spd = cache.banded
+        lu = cache.factorize(P.matrix(m + dt * a), kind=kind)
+        kind = "spd" if cache.banded else "lu"
         return linsolve.solve(lu, M @ u + dt * F)
     return _march(state, dt, nt, pmod, step)
 
@@ -79,7 +79,7 @@ def tints(state, dt, nt, pmod, forcing=None, K=None, diagnostics=True):
         K = K0 if K is None else K
     M = state.ops.M
     try:
-        lu = state.ops.cache.factorize((M + dt * K).tocsc(), spd=True)
+        lu = state.ops.cache.factorize((M + dt * K).tocsc(), kind="spd")
     except linsolve.SingularMatrixError as exc:
         raise TimeintError("stiff operator factorization failed") from exc
 

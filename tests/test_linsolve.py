@@ -147,6 +147,17 @@ def test_factorize_leaves_its_argument_alone():
     assert np.allclose(lu.solve(A @ x), x, atol=1e-10)
 
 
+def test_factorize_refuses_an_unknown_kind():
+    # refused before anything is factorized, counted or dropped
+    cache = linsolve.FactorCache()
+    cache.held = ("key", None)
+    for kind in ("cholesky", "LU", True):
+        with pytest.raises(ValueError, match="factor kind"):
+            cache.factorize(_spd(10, 1), kind=kind)
+    assert cache.factor_count == 0 and not cache.patterns
+    assert cache.held == ("key", None)
+
+
 def _splu_calls(monkeypatch):
     """Record the keyword arguments of every splu call linsolve makes."""
     calls, splu = [], linsolve.spla.splu
@@ -166,7 +177,7 @@ def test_factorize_orders_by_minimum_degree_on_at_plus_a(monkeypatch):
     lu = linsolve.FactorCache().factorize(A)
     # partial pivoting stays SuperLU's default
     assert calls == [{"permc_spec": "MMD_AT_PLUS_A"}]
-    colamd = linsolve.FactorCache().factorize(A, permc_spec="COLAMD")
+    colamd = linsolve.spla.splu(A, permc_spec="COLAMD")
     assert calls[-1] == {"permc_spec": "COLAMD"}
     assert lu.nnz < colamd.nnz
 
@@ -212,8 +223,7 @@ def test_tiny_pivot_refuses_the_symmetric_mode_lu():
     want = int(np.sum(la.eigvalsh(A.toarray()) < 0))
     assert want == 2
     # the LU it refuses shares one ordering for rows and columns
-    ldlt = linsolve.FactorCache().factorize(
-        A, diag_pivot_thresh=0, options={"SymmetricMode": True})
+    ldlt = linsolve.FactorCache().factorize(A, kind="ldlt")
     assert np.array_equal(ldlt.perm_r, ldlt.perm_c)
     assert np.abs(ldlt.U.diagonal()).min() <= linsolve.PIVOT_RTOL
     lu, ineg = linsolve.factorize_square(A)
@@ -278,10 +288,10 @@ def test_band_cholesky_solves_as_superlu(build, name, config):
     demos.perturb(st, 4)
     A = build(st, 0.05)
     cache = linsolve.FactorCache()
-    band = cache.factorize(A, spd=True)
+    band = cache.factorize(A, kind="spd")
     assert cache.banded and cache.factor_count == 1
     assert isinstance(band, linsolve.BandCholesky)
-    b = cache.band.b
+    b = cache.patterns[0].b
     assert band.nnz == A.shape[0] * (b + 1) and b * b < A.shape[0]
     lu = linsolve.FactorCache().factorize(A)
     rhs = np.random.default_rng(5).standard_normal((A.shape[0], 3))
@@ -301,7 +311,7 @@ def test_band_cholesky_declines_and_the_lu_serves():
     cache = linsolve.FactorCache()
     shift = A.diagonal().mean() * sp.identity(60)   # inside the spectrum
     for B in ((A + sp.triu(A, 1)).tocsc(), (A - shift).tocsc()):
-        lu = cache.factorize(B, spd=True)
+        lu = cache.factorize(B, kind="spd")
         assert not cache.banded
         assert np.allclose(lu.solve(B @ x), x, atol=1e-9)
     assert cache.factor_count == 2
@@ -323,7 +333,7 @@ def test_band_cholesky_runs_on_one_blas_thread(monkeypatch):
     try:
         assert lib.scipy_openblas_get_num_threads() == 2
         A = _spd(60, 7)
-        band = linsolve.FactorCache().factorize(A, spd=True)
+        band = linsolve.FactorCache().factorize(A, kind="spd")
         assert isinstance(band, linsolve.BandCholesky)
         assert seen == [1]
         assert lib.scipy_openblas_get_num_threads() == 2
@@ -336,7 +346,7 @@ def test_band_cholesky_without_the_thread_api(monkeypatch):
     monkeypatch.setattr(linsolve, "_openblas", lambda: None)
     A = _spd(60, 7)
     cache = linsolve.FactorCache()
-    band = cache.factorize(A, spd=True)
+    band = cache.factorize(A, kind="spd")
     assert cache.banded
     x = np.linspace(1.0, 2.0, 60)
     assert np.allclose(band.solve(A @ x), x, atol=1e-10)

@@ -151,3 +151,24 @@ def test_pattern_slots_find_each_stored_entry():
     assert np.array_equal(got, want[rows, cols])
     assert np.array_equal(pattern_slots(np.zeros(4, dtype=int),
                                         np.zeros(0, dtype=int), 1, 2), -1)
+
+
+def test_pattern_slots_answer_a_broadcast_query_in_its_shape():
+    # the (ne, neq, neq, 2, 2) query of a boundary edge's block entries:
+    # end nodes i, j of each edge, offset by component; some not stored
+    rng = np.random.default_rng(5)
+    n, neq = 30, 2
+    A = sp.random(n * neq, n * neq, density=0.15, format="csc",
+                  random_state=rng)
+    A.sort_indices()
+    want = np.full(A.shape, -1)
+    want[A.indices, np.repeat(np.arange(A.shape[1]), np.diff(A.indptr))] = (
+        np.arange(A.nnz))
+    ends = rng.integers(0, n, size=(17, 2))
+    off = n * np.arange(neq)
+    i = ends[:, None, None, :, None] + off[:, None, None, None]
+    j = ends[:, None, None, None, :] + off[:, None, None]
+    got = pattern_slots(A.indptr, A.indices, i, j)
+    assert got.shape == (17, neq, neq, 2, 2) and got.dtype == np.intp
+    assert np.array_equal(got, want[i, j])
+    assert (got < 0).any() and (got >= 0).any()
