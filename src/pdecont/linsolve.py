@@ -568,6 +568,8 @@ def _shift_invert_eigs(Gu: sp.spmatrix, M: sp.spmatrix, k: int) -> tuple:
 
 
 def _infnorm(A: sp.spmatrix) -> float:
+    """||A||_inf, bitwise equal to float(abs(A).sum(axis=1).max()): the
+    package's one infinity-norm rule, also switching.swibra's kernel scale."""
     A = A.tocsc()   # abs(A).sum(axis=1)'s row sums, in its order, without |A|
     return float(np.bincount(A.indices, np.abs(A.data), A.shape[0])
                  .max(initial=0.0))

@@ -106,14 +106,9 @@ def pattern_slots(indptr: np.ndarray, indices: np.ndarray, rows,
     want = np.asarray(cols, dtype=key) * N + rows
     if not len(keys):
         return np.full(want.shape, -1, dtype=np.intp)
-    # searched in ascending order, which unordered queries are about 3x
-    # the faster for, and scattered back
-    flat = want.ravel()
-    order = np.argsort(flat)
-    pos = np.empty(len(flat), dtype=np.intp)
-    pos[order] = np.searchsorted(keys, flat[order])
-    pos[keys[np.minimum(pos, len(keys) - 1)] != flat] = -1
-    return pos.reshape(want.shape)
+    pos = np.searchsorted(keys, want)
+    pos[keys[np.minimum(pos, len(keys) - 1)] != want] = -1
+    return pos
 
 
 def build_rect_mesh(lx: float, ly: float, nx: int, ny: int) -> Mesh:
